@@ -11,7 +11,9 @@ from .core import (
     cost_ratio,
     harmonic_feature_map,
     log_curvature,
+    log_to_qr,
     permutation_symmetry_check,
+    qr_to_log,
     reciprocal_cost_1d,
     sample_log_points,
     transform,

@@ -78,6 +78,8 @@ def _parse_floats(text: str, name: str) -> np.ndarray:
         raise UsageError(f"could not parse --{name} {text!r}: {exc}") from None
     if not vals:
         raise UsageError(f"--{name} must hold at least one number")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"--{name} must hold finite numbers, got {text!r}")
     return np.array(vals)
 
 
@@ -247,53 +249,23 @@ def cmd_ricci(args) -> int:
     return EXIT_OK
 
 
-def _qr_of(a: float, b: float, x: float, y: float) -> Tuple[float, float]:
-    s, t = math.log(x), math.log(y)
-    return a * s + b * t, -b * s + a * t
-
-
 def _geodesic_rows(traj, a: float, b: float):
     """Rows lambda,x,y,xdot,ydot,q,r,J,Delta,residual for a 2D trajectory."""
     w = WeightVector(np.array([a, b]))
-    rows = []
+    residuals = geodesics.qr_residual(traj, a, b)
     if traj.chart is Chart.RATIO:
-        residuals = geodesics.qr_residual(traj, a, b)
+        xy, vxy = traj.positions, traj.velocities
+        qr = core.log_to_qr(np.log(xy), a, b)
     else:
-        residuals = _qr_chart_residuals(traj, a, b)
-    for s, res in zip(traj.samples, residuals):
-        if s.chart is Chart.RATIO:
-            x, y = s.position
-            vx, vy = s.velocity
-            q, r = _qr_of(a, b, x, y)
-        else:
-            q, r = s.position
-            n2 = a * a + b * b
-            sc = (a * q - b * r) / n2
-            tc = (b * q + a * r) / n2
-            x, y = math.exp(sc), math.exp(tc)
-            # chain rule back to ratio-chart velocities
-            sd = (a * s.velocity[0] - b * s.velocity[1]) / n2
-            td = (b * s.velocity[0] + a * s.velocity[1]) / n2
-            vx, vy = sd * x, td * y
+        qr = traj.positions
+        xy = np.exp(core.qr_to_log(qr, a, b))
+        vxy = core.qr_to_log(traj.velocities, a, b) * xy  # chain rule back to the ratio chart
+    rows = []
+    for lam, (x, y), (vx, vy), (q, r), res in zip(traj.lambdas, xy, vxy, qr, residuals):
         ctx = connection.SingularContext.from_xy(a, b, x, y)
         J = core.cost_ratio(ChartPoint(Chart.RATIO, np.array([x, y])), w).J
-        rows.append([s.lam, x, y, vx, vy, q, r, J, ctx.Delta, res])
+        rows.append([lam, x, y, vx, vy, q, r, J, ctx.Delta, res])
     return rows
-
-
-def _qr_chart_residuals(traj, a: float, b: float) -> np.ndarray:
-    out = np.empty(len(traj.samples))
-    for i, s in enumerate(traj.samples):
-        if s.acceleration is None:
-            out[i] = math.nan
-            continue
-        try:
-            L, Fq, Fr = geodesics._qr_lhs_parts(a, b, s.position[0], s.velocity[0], s.velocity[1])
-        except RecipGeoError:
-            out[i] = math.inf
-            continue
-        out[i] = abs(L * s.acceleration[0] + Fq) + abs(L * s.acceleration[1] + Fr)
-    return out
 
 
 def cmd_geodesic(args) -> int:
@@ -327,9 +299,9 @@ def cmd_geodesic(args) -> int:
         traj = geodesics.affine_trajectory(structure, start, state[w.n:], span, num=args.samples)
         columns = ["lambda"] + [f"x{i+1}" for i in range(w.n)] + [f"v{i+1}" for i in range(w.n)] + ["J"]
         rows = []
-        for s in traj.samples:
-            J = core.cost_ratio(ChartPoint(Chart.RATIO, s.position), w).J
-            rows.append([s.lam, *s.position, *s.velocity, J])
+        for lam, pos, vel in zip(traj.lambdas, traj.positions, traj.velocities):
+            J = core.cost_ratio(ChartPoint(Chart.RATIO, pos), w).J
+            rows.append([lam, *pos, *vel, J])
     meta = {
         "alpha": list(map(float, w.alpha)),
         "termination": traj.termination.value,
@@ -345,7 +317,7 @@ def cmd_geodesic(args) -> int:
         lines = ["lambda,residual"] + [",".join(_fmt(v) for v in r) for r in res_rows]
         _atomic_write(args.residual_output, "\n".join(lines) + "\n")
     span_len = abs(span[1] - span[0])
-    covered = abs(traj.samples[-1].lam - span[0])
+    covered = abs(traj.lambdas[-1] - span[0])
     if traj.termination is TerminationReason.SINGULARITY_REACHED and covered < 0.01 * span_len:
         sys.stderr.write("error: singularity reached before 1% of the span\n")
         return EXIT_RUNTIME
@@ -369,14 +341,14 @@ def cmd_flow(args) -> int:
         + [f"r{k+1}" for k in range(w.n - 1)]
     )
     rows = []
-    for s in traj.samples:
-        S = float(np.dot(w.alpha, s.position))
+    for tau, pos in zip(traj.lambdas, traj.positions):
+        S = float(np.dot(w.alpha, pos))
         try:
-            S_closed = flows.closed_form_S(S0, s.lam, w, sign)
+            S_closed = flows.closed_form_S(S0, tau, w, sign)
         except RecipGeoError:
             S_closed = None
-        r_proj = basis @ s.position if basis.size else np.empty(0)
-        rows.append([s.lam, S, S_closed, math.cosh(S) - 1.0, *s.position, *r_proj])
+        r_proj = basis @ pos if basis.size else np.empty(0)
+        rows.append([tau, S, S_closed, math.cosh(S) - 1.0, *pos, *r_proj])
     tau_star = flows.blowup_time(S0, w)
     meta = {
         "alpha": list(map(float, w.alpha)),
@@ -574,6 +546,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():  # --tol, --Z, --q, --perturb
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{name} must be finite, got {value}")
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -198,18 +198,28 @@ def transform(p: ChartPoint, target: Chart, w: WeightVector) -> ChartPoint:
         return ChartPoint(Chart.LOG, np.log(p.coords))
 
     if p.chart is Chart.LOG and target is Chart.QR:
-        a, b = w.a, w.b
-        s, t = p.coords
-        return ChartPoint(Chart.QR, np.array([a * s + b * t, -b * s + a * t]))
+        return ChartPoint(Chart.QR, log_to_qr(p.coords, w.a, w.b))
 
     if p.chart is Chart.QR and target is Chart.LOG:
-        a, b = w.a, w.b
-        q, r = p.coords
-        n2 = a * a + b * b
-        return ChartPoint(Chart.LOG, np.array([(a * q - b * r) / n2, (b * q + a * r) / n2]))
+        return ChartPoint(Chart.LOG, qr_to_log(p.coords, w.a, w.b))
 
     # remaining pairs go through LOG
     return transform(transform(p, Chart.LOG, w), target, w)
+
+
+def log_to_qr(st: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The rotation q = a s + b t, r = -b s + a t of log coordinates, applied
+    to the last axis of `st` (one point, or one point per row).  Being
+    linear, it also maps log-chart velocities and accelerations."""
+    s, t = st[..., 0], st[..., 1]
+    return np.stack([a * s + b * t, -b * s + a * t], axis=-1)
+
+
+def qr_to_log(qr: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Inverse of `log_to_qr`, on the last axis of `qr`."""
+    q, r = qr[..., 0], qr[..., 1]
+    n2 = a * a + b * b
+    return np.stack([(a * q - b * r) / n2, (b * q + a * r) / n2], axis=-1)
 
 
 def composition_residual(F: Callable[[float], float], x: float, y: float) -> float:

@@ -79,7 +79,7 @@ class InadmissibleInitialState(RecipGeoError):
     pass
 
 
-class MissingVelocities(RecipGeoError):
+class InvalidSampleCount(RecipGeoError):
     pass
 
 

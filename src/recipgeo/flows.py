@@ -19,7 +19,7 @@ import numpy as np
 from . import ode
 from .core import Chart, ChartPoint, WeightVector
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
-from .geodesics import DENSE_SAMPLES, GeodesicState, TerminationReason, Trajectory
+from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples, _rowwise
 from .hessian import radical_basis
 
 # |S| below this counts as converged to the minimum (descent)
@@ -123,10 +123,12 @@ def integrate_flow(
     horizon.  Samples record position, velocity (the gradient field), and the
     flow acceleration.
     """
+    _require_samples(samples)
     arr = _coords(t0, w)
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
     if tau1 <= tau0:
         raise InvalidSpan("tau span must be increasing")
+    cfg = ode.IntegratorConfig.for_span(tau1 - tau0, tol=tol, max_steps=max_steps)
     alpha = w.alpha
     n2 = w.norm_sq
     sgn = sign.value
@@ -144,41 +146,29 @@ def integrate_flow(
 
     S0 = _S_of(arr, w)
     if sign is FlowSign.DESCENT and abs(S0) < CONVERGED_S:
-        state = GeodesicState(Chart.LOG, arr, np.zeros_like(arr), tau0,
-                              acceleration=np.zeros_like(arr))
-        return Trajectory([state], TerminationReason.CONVERGED)
+        zero = np.zeros((1, arr.size))
+        return Trajectory(Chart.LOG, np.array([tau0]), arr[None, :].copy(), zero, zero.copy(),
+                          TerminationReason.CONVERGED)
 
-    cfg = ode.IntegratorConfig.for_span(tau1 - tau0, tol=tol, max_steps=max_steps)
     sol = ode.integrate(rhs, arr, (tau0, tau1), cfg, stop=stop)
-
-    if sol.status == "span":
-        termination = TerminationReason.SPAN_COMPLETE
-    elif sol.status == "stopped":
-        termination = sol.stop_reason
-    elif sol.status == "maxsteps":
-        termination = TerminationReason.MAX_STEPS
-    else:
-        S_end = float(np.dot(alpha, sol.ys[-1]))
-        if sign is FlowSign.ASCENT and abs(S_end) > BLOWUP_CLASSIFY_S:
-            termination = TerminationReason.BLOWUP
-        else:
-            termination = TerminationReason.STEP_UNDERFLOW
-
-    tau_end = sol.t_end
-    if tau_end == tau0:
-        vel = rhs(tau0, arr)
-        states = [GeodesicState(Chart.LOG, arr, vel, tau0,
-                                acceleration=_flow_accel(arr, alpha, n2, sgn))]
-        return Trajectory(states, termination, sol.accepted, sol.rejected)
-    query = np.linspace(tau0, tau_end, samples)
-    states = []
-    for tau, y in zip(query, ode.dense_sample(sol, query)):
-        states.append(GeodesicState(Chart.LOG, y, rhs(tau, y), float(tau),
-                                    acceleration=_flow_accel(y, alpha, n2, sgn)))
-    return Trajectory(states, termination, sol.accepted, sol.rejected)
+    return Trajectory.from_solution(
+        sol, Chart.LOG, tau0, samples,
+        lambda y: _underflow_reason(y, alpha, sign),
+        lambda ys: (ys, _rowwise(lambda y: rhs(0.0, y), ys, w.n),
+                    _rowwise(lambda y: _flow_accel(y, alpha, n2), ys, w.n)),
+    )
 
 
-def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float, sgn: float) -> np.ndarray:
+def _underflow_reason(y: np.ndarray, alpha: np.ndarray, sign: FlowSign) -> TerminationReason:
+    """An ascent whose step size underflows far out (|S| > 20) is chasing the
+    finite horizon: classify it as blowup."""
+    S_end = float(np.dot(alpha, y))
+    if sign is FlowSign.ASCENT and abs(S_end) > BLOWUP_CLASSIFY_S:
+        return TerminationReason.BLOWUP
+    return TerminationReason.STEP_UNDERFLOW
+
+
+def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float) -> np.ndarray:
     # d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square)
     S = float(np.dot(alpha, y))
     try:

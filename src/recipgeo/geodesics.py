@@ -20,11 +20,11 @@ import numpy as np
 
 from . import ode
 from .connection import EPS_SINGULAR, AffineStructure, SingularContext
-from .core import Chart, ChartPoint
+from .core import Chart, ChartPoint, log_to_qr
 from .errors import (
     InadmissibleInitialState,
+    InvalidSampleCount,
     InvalidSpan,
-    MissingVelocities,
     SingularMetric,
     UnsupportedChartPair,
     ZeroExponent,
@@ -66,26 +66,64 @@ class GeodesicState:
 
 @dataclass
 class Trajectory:
-    samples: List[GeodesicState]
+    """A sampled trajectory in `chart`, one row per sample: parameters
+    `lambdas` (N,) and the (N, n) arrays `positions`, `velocities` and
+    `accelerations`.  An acceleration row is NaN where its closed form is
+    undefined at that sample."""
+
+    chart: Chart
+    lambdas: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
+    accelerations: np.ndarray
     termination: TerminationReason
     accepted: int = 0
     rejected: int = 0
 
     @property
-    def chart(self) -> Chart:
-        return self.samples[0].chart
+    def samples(self) -> List[GeodesicState]:
+        """The rows as GeodesicState objects, built anew on every access.
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([s.lam for s in self.samples])
+        Kept only because the benchmark's tracer (perfbench/spans.py) counts
+        residual samples with len(traj.samples).  Nothing in the package or
+        its tests calls it: read the arrays instead."""
+        rows = zip(self.lambdas, self.positions, self.velocities, self.accelerations)
+        return [GeodesicState(self.chart, p, v, float(lam), acceleration=acc) for lam, p, v, acc in rows]
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.samples])
+    @classmethod
+    def from_solution(cls, sol: ode.RawSolution, chart: Chart, lam0: float, samples: int,
+                      underflow: Callable[[np.ndarray], TerminationReason],
+                      split: Callable[[np.ndarray], tuple]) -> "Trajectory":
+        """Dense samples of an integrated run at `samples` uniform parameters
+        from lam0 to where it stopped (one sample if it stopped at lam0).
 
-    @property
-    def velocities(self) -> np.ndarray:
-        return np.array([s.velocity for s in self.samples])
+        `underflow(y)` names the reason for a run whose step size underflowed
+        at final state y; `split(ys)` maps the sampled states, one per row,
+        to (positions, velocities, accelerations)."""
+        termination = {
+            "span": TerminationReason.SPAN_COMPLETE,
+            "maxsteps": TerminationReason.MAX_STEPS,
+            "stopped": sol.stop_reason,
+        }.get(sol.status) or underflow(sol.ys[-1])
+        lam_end = sol.t_end
+        lambdas = np.linspace(lam0, lam_end, samples) if lam_end != lam0 else np.array([lam0])
+        positions, velocities, accelerations = split(ode.dense_sample(sol, lambdas))
+        return cls(chart, lambdas, positions, velocities, accelerations, termination,
+                   sol.accepted, sol.rejected)
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 2:
+        raise InvalidSampleCount(f"a trajectory needs at least 2 samples, got {samples}")
+
+
+def _rowwise(fn: Callable[[np.ndarray], object], ys: np.ndarray, width: int) -> np.ndarray:
+    """fn at each row of ys, as an (N, width) array: the closed forms take
+    one point at a time."""
+    out = np.empty((len(ys), width))
+    for i, y in enumerate(ys):
+        out[i] = fn(y)
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,6 +188,7 @@ def affine_trajectory(
     is truncated to the representable/positive part, ending the trajectory
     with DOMAIN_BOUNDARY when the cut bites.
     """
+    _require_samples(num)
     lam0, lam1 = float(span[0]), float(span[1])
     if lam1 <= lam0:
         raise InvalidSpan("span must be increasing")
@@ -168,23 +207,17 @@ def affine_trajectory(
                 hi = min(hi, (-LOG_COORD_MAX - ti) / vi)
                 lo = max(lo, (LOG_COORD_MAX - ti) / vi)
 
-        def states(lams: np.ndarray) -> List[GeodesicState]:
-            out = []
-            for lam in lams:
-                x = np.exp(t0 + lam * v)
-                out.append(GeodesicState(Chart.RATIO, x, v * x, lam, acceleration=v * v * x))
-            return out
+        def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            x = np.exp(t0 + lams[:, None] * v)
+            return x, v * x, v * v * x
 
     else:
         x0 = start.coords if start.chart is Chart.RATIO else np.exp(start.coords)
         _, (lo, hi) = affine_geodesic_ratio(x0, v)
 
-        def states(lams: np.ndarray) -> List[GeodesicState]:
-            zero = np.zeros_like(v)
-            return [
-                GeodesicState(Chart.RATIO, x0 + lam * v, v.copy(), lam, acceleration=zero.copy())
-                for lam in lams
-            ]
+        def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            x = x0 + lams[:, None] * v
+            return x, np.tile(v, (len(lams), 1)), np.zeros_like(x)
 
     if lam0 <= lo or lam0 >= hi:
         raise InadmissibleInitialState(f"span start {lam0} outside maximal interval ({lo}, {hi})")
@@ -193,7 +226,7 @@ def affine_trajectory(
     truncated = lam_hi < lam1
     lams = np.linspace(lam0, lam_hi, num)
     return Trajectory(
-        samples=states(lams),
+        Chart.RATIO, lams, *rows(lams),
         termination=TerminationReason.DOMAIN_BOUNDARY if truncated else TerminationReason.SPAN_COMPLETE,
     )
 
@@ -232,15 +265,15 @@ def lc_rhs_xy(state: GeodesicState, a: float, b: float) -> np.ndarray:
     return np.array(_accel_xy(a, b, x, y, vx, vy))
 
 
-def _qr_lhs_parts(a: float, b: float, q: float, qd: float, rd: float) -> Tuple[float, float, float]:
+def _qr_lhs_parts(a: float, b: float, q, qd, rd):
     """Split the implicit rotated-chart geodesic equations as
     LHS_q = L q'' + Fq and LHS_r = L r'' + Fr, all coefficients functions
-    of q only."""
+    of q only.  Takes floats (evaluated with `math`) or equal-shape arrays
+    (with numpy); undefined at q = 0."""
+    xp = np if isinstance(q, np.ndarray) else math
     n2 = a * a + b * b
-    ch = math.cosh(q)
-    sh = math.sinh(q)
-    if sh == 0.0:
-        raise ZeroQ("rotated-chart coefficients undefined at q = 0")
+    ch = xp.cosh(q)
+    sh = xp.sinh(q)
     L = 2.0 * n2 * n2 * ((a + b) * ch - sh)
     a4 = a**4 - a**3 * b + 4.0 * a * a * b * b - a * b**3 + b**4
     Fq = (
@@ -253,10 +286,20 @@ def _qr_lhs_parts(a: float, b: float, q: float, qd: float, rd: float) -> Tuple[f
     a3 = a**3 + b**3
     Fr = (
         2.0 * (a + b) * qd * cth * rd * (n2 * n2 * ch - a3 * sh)
-        - 0.5 * (a - b) * qd * qd * csch * (-a3 * math.sinh(2.0 * q) + n2 * n2 * math.cosh(2.0 * q) + 3.0 * n2 * n2)
+        - 0.5 * (a - b) * qd * qd * csch * (-a3 * xp.sinh(2.0 * q) + n2 * n2 * xp.cosh(2.0 * q) + 3.0 * n2 * n2)
         + a * b * (a - b) * (a + b) * ch * rd * rd
     )
     return L, Fq, Fr
+
+
+def _accel_qr(a: float, b: float, q: float, qd: float, rd: float,
+              guard: float = EPS_SINGULAR) -> Tuple[float, float]:
+    if abs(math.sinh(q)) < guard:
+        raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
+    L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
+    if abs(L) < guard:
+        raise SingularMetric("(a+b) cosh q = sinh q: leading coefficient vanishes")
+    return -Fq / L, -Fr / L
 
 
 def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
@@ -264,14 +307,8 @@ def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
     implicit forms; all coefficients depend on the point through q only."""
     if state.chart is not Chart.QR:
         raise UnsupportedChartPair("lc_rhs_qr expects a (q, r)-chart state")
-    q = float(state.position[0])
     qd, rd = state.velocity
-    if abs(math.sinh(q)) < EPS_SINGULAR:
-        raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
-    L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
-    if abs(L) < EPS_SINGULAR:
-        raise SingularMetric("(a+b) cosh q = sinh q: leading coefficient vanishes")
-    return np.array([-Fq / L, -Fr / L])
+    return np.array(_accel_qr(a, b, float(state.position[0]), qd, rd))
 
 
 # -- adaptive integration ----------------------------------------------------
@@ -292,6 +329,26 @@ def _guard_qr(a: float, b: float, pos: np.ndarray) -> Optional[TerminationReason
     return None
 
 
+def _underflow_xy(a: float, b: float, pos: np.ndarray) -> TerminationReason:
+    """Attribute a step underflow to a guard if the final state is within
+    10x of one."""
+    if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < 10.0 * EPS_SINGULAR:
+        return TerminationReason.SINGULARITY_REACHED
+    if pos[0] <= 10.0 * DELTA_DOMAIN or pos[1] <= 10.0 * DELTA_DOMAIN:
+        return TerminationReason.DOMAIN_BOUNDARY
+    return TerminationReason.STEP_UNDERFLOW
+
+
+def _underflow_qr(a: float, b: float, pos: np.ndarray) -> TerminationReason:
+    """Attribute a step underflow to a guard if the final state is within
+    10x of one."""
+    q = pos[0]
+    if abs(math.sinh(q)) < 10.0 * EPS_SINGULAR or \
+       abs((a + b) * math.cosh(q) - math.sinh(q)) < 10.0 * EPS_SINGULAR:
+        return TerminationReason.SINGULARITY_REACHED
+    return TerminationReason.STEP_UNDERFLOW
+
+
 def integrate_geodesic(
     state0: GeodesicState,
     a: float,
@@ -306,122 +363,75 @@ def integrate_geodesic(
     Runs the embedded 5(4) pair with per-step tolerance `tol`, halting early
     when the singular guard trips, a ratio coordinate reaches the domain
     boundary, or the step size underflows.  The returned trajectory holds
-    `samples` densely sampled states at uniform parameter values, each
-    carrying the acceleration evaluated from the closed-form right-hand side.
+    `samples` densely sampled states at uniform parameter values, with the
+    accelerations evaluated from the closed-form right-hand side.
     """
+    _require_samples(samples)
     lam0, lam1 = float(span[0]), float(span[1])
     if lam1 == lam0:
         raise InvalidSpan("span must have nonzero length")
+    cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol, max_steps=max_steps)
     if state0.chart is Chart.RATIO:
-        guard = lambda pos: _guard_xy(a, b, pos)
-
-        def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
-            ax, ay = _accel_xy(a, b, yv[0], yv[1], yv[2], yv[3])
-            return np.array([yv[2], yv[3], ax, ay])
-
-        def accel_raw(pos: np.ndarray, vel: np.ndarray) -> Optional[np.ndarray]:
-            try:
-                return np.array(_accel_xy(a, b, pos[0], pos[1], vel[0], vel[1], guard=0.0))
-            except (SingularMetric, ZeroDivisionError):
-                return None
-
+        guard, underflow = _guard_xy, _underflow_xy
+        accel = lambda yv, eps=EPS_SINGULAR: _accel_xy(a, b, yv[0], yv[1], yv[2], yv[3], eps)
     elif state0.chart is Chart.QR:
-        guard = lambda pos: _guard_qr(a, b, pos)
-
-        def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
-            st = GeodesicState(Chart.QR, yv[:2], yv[2:], _lam)
-            acc = lc_rhs_qr(st, a, b)
-            return np.array([yv[2], yv[3], acc[0], acc[1]])
-
-        def accel_raw(pos: np.ndarray, vel: np.ndarray) -> Optional[np.ndarray]:
-            try:
-                L, Fq, Fr = _qr_lhs_parts(a, b, pos[0], vel[0], vel[1])
-                if L == 0.0:
-                    return None
-                return np.array([-Fq / L, -Fr / L])
-            except (ZeroQ, ZeroDivisionError):
-                return None
-
+        guard, underflow = _guard_qr, _underflow_qr
+        accel = lambda yv, eps=EPS_SINGULAR: _accel_qr(a, b, yv[0], yv[2], yv[3], eps)
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
 
-    reason0 = guard(state0.position)
+    def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
+        ax, ay = accel(yv)
+        return np.array([yv[2], yv[3], ax, ay])
+
+    def sampled_accel(yv: np.ndarray):
+        # no guard: samples between the last accepted step and a singular
+        # set still get their acceleration, NaN only where it is undefined
+        try:
+            return accel(yv, 0.0)
+        except (ZeroQ, SingularMetric, ZeroDivisionError):
+            return math.nan
+
+    reason0 = guard(a, b, state0.position)
     if reason0 is not None:
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
     y0 = np.concatenate([state0.position, state0.velocity])
-    cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol, max_steps=max_steps)
-    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, yv: guard(yv[:2]))
-
-    if sol.status == "span":
-        termination = TerminationReason.SPAN_COMPLETE
-    elif sol.status == "stopped":
-        termination = sol.stop_reason
-    elif sol.status == "maxsteps":
-        termination = TerminationReason.MAX_STEPS
-    else:  # underflow: attribute to a guard if the final state is within 10x of one
-        pos = sol.ys[-1][:2]
-        termination = TerminationReason.STEP_UNDERFLOW
-        if state0.chart is Chart.RATIO:
-            if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < 10.0 * EPS_SINGULAR:
-                termination = TerminationReason.SINGULARITY_REACHED
-            elif pos[0] <= 10.0 * DELTA_DOMAIN or pos[1] <= 10.0 * DELTA_DOMAIN:
-                termination = TerminationReason.DOMAIN_BOUNDARY
-        else:
-            q = pos[0]
-            if abs(math.sinh(q)) < 10.0 * EPS_SINGULAR or \
-               abs((a + b) * math.cosh(q) - math.sinh(q)) < 10.0 * EPS_SINGULAR:
-                termination = TerminationReason.SINGULARITY_REACHED
-
-    lam_end = sol.t_end
-    if lam_end == lam0:
-        states = [GeodesicState(state0.chart, state0.position, state0.velocity, lam0,
-                                acceleration=accel_raw(state0.position, state0.velocity))]
-        return Trajectory(states, termination, sol.accepted, sol.rejected)
-    query = np.linspace(lam0, lam_end, samples)
-    interpolated = ode.dense_sample(sol, query)
-    states = []
-    for lam, yv in zip(query, interpolated):
-        pos, vel = yv[:2], yv[2:]
-        states.append(GeodesicState(state0.chart, pos, vel, float(lam), acceleration=accel_raw(pos, vel)))
-    return Trajectory(states, termination, sol.accepted, sol.rejected)
+    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, yv: guard(a, b, yv[:2]))
+    return Trajectory.from_solution(
+        sol, state0.chart, lam0, samples,
+        lambda y: underflow(a, b, y[:2]),
+        lambda ys: (ys[:, :2], ys[:, 2:], _rowwise(sampled_accel, ys, 2)),
+    )
 
 
 # -- cross-chart residual harness ---------------------------------------------
 
 def qr_residual(traj: Trajectory, a: float, b: float) -> np.ndarray:
-    """Per-sample defect of the rotated-chart geodesic equations.
+    """Per-sample defect |LHS_q| + |LHS_r| of the implicit rotated-chart
+    geodesic equations, with inf at q = 0 where they are undefined.
 
-    Each ratio-chart sample is mapped to (q, r, q', r', q'', r'') by the
-    exact linear transform and the chain rule, using the sample's stored
-    acceleration (the closed-form right-hand side for integrated geodesics,
-    the path's own second derivative for analytically built trajectories);
-    the result is |LHS_q| + |LHS_r| of the implicit rotated-chart forms.
+    A (q, r)-chart trajectory enters with its stored accelerations.  A
+    ratio-chart one is mapped to (q, r, q', r', q'', r'') by the exact linear
+    transform and the chain rule, using its stored accelerations (the
+    closed-form right-hand side for integrated geodesics, the path's own
+    second derivative for analytically built trajectories).
     """
-    out = np.empty(len(traj.samples))
-    for idx, s in enumerate(traj.samples):
-        if s.chart is not Chart.RATIO:
-            raise UnsupportedChartPair("qr_residual expects a ratio-chart trajectory")
-        if s.velocity is None or s.velocity.size != 2:
-            raise MissingVelocities("qr_residual needs stored velocities")
-        x, y = s.position
-        vx, vy = s.velocity
-        if s.acceleration is None:
-            acc = np.array(_accel_xy(a, b, x, y, vx, vy, guard=0.0))
-        else:
-            acc = s.acceleration
-        lx, ly = vx / x, vy / y
-        q = a * math.log(x) + b * math.log(y)
-        qd = a * lx + b * ly
-        rd = -b * lx + a * ly
-        gx = acc[0] / x - lx * lx
-        gy = acc[1] / y - ly * ly
-        qdd = a * gx + b * gy
-        rdd = -b * gx + a * gy
-        try:
-            L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
-        except ZeroQ:
-            out[idx] = math.inf
-            continue
-        out[idx] = abs(L * qdd + Fq) + abs(L * rdd + Fr)
-    return out
+    if traj.positions.shape[-1] != 2:
+        raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
+    if traj.chart is Chart.RATIO:
+        x, v = traj.positions, traj.velocities
+        lv = v / x                             # log-chart velocity
+        q = log_to_qr(np.log(x), a, b)[:, 0]
+        qd, rd = log_to_qr(lv, a, b).T
+        qdd, rdd = log_to_qr(traj.accelerations / x - lv * lv, a, b).T
+    elif traj.chart is Chart.QR:
+        q = traj.positions[:, 0]
+        qd, rd = traj.velocities.T
+        qdd, rdd = traj.accelerations.T
+    else:
+        raise UnsupportedChartPair("qr_residual expects a ratio- or (q, r)-chart trajectory")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
+        out = np.abs(L * qdd + Fq) + np.abs(L * rdd + Fr)
+    return np.where(q == 0.0, math.inf, out)

@@ -143,16 +143,22 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, fa, b, fb, m, fm, whole, tol, 0)
 
 
+def _mean_slope(S: float) -> float:
+    """m'(S) = sqrt(cosh S)."""
+    if abs(S) > 700.0:
+        raise Overflow("cosh overflows past |S| ~ 710")
+    return math.sqrt(math.cosh(S))
+
+
 def mean_function(S: float, tol: float = QUADRATURE_TOL) -> MeanFunction:
     """m(S) = integral_0^S sqrt(cosh u) du by adaptive Simpson quadrature,
     with m'(S) = sqrt(cosh S).  Odd in S, slope >= 1 everywhere."""
-    if abs(S) > 700.0:
-        raise Overflow("cosh overflows past |S| ~ 710")
+    m_prime = _mean_slope(S)
     if S == 0.0:
-        return MeanFunction(S=0.0, m=0.0, m_prime=1.0)
+        return MeanFunction(S=0.0, m=0.0, m_prime=m_prime)
     integrand = lambda u: math.sqrt(math.cosh(u))
     m = math.copysign(_adaptive_simpson(integrand, 0.0, abs(S), tol), S)
-    return MeanFunction(S=S, m=m, m_prime=math.sqrt(math.cosh(S)))
+    return MeanFunction(S=S, m=m, m_prime=m_prime)
 
 
 def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -163,5 +169,5 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
     if t.n != w.n:
         raise DimensionMismatch("point dimension must match the weights")
     S = float(np.dot(w.alpha, t.coords))
-    mp = mean_function(S).m_prime
+    mp = _mean_slope(S)
     return SymMatrix.from_dense((mp * mp) * np.outer(w.alpha, w.alpha))

@@ -70,8 +70,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.min_step <= self.initial_step <= self.max_step):
             raise InvalidSpan("need 0 < min_step <= initial_step <= max_step")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise InvalidSpan("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise InvalidSpan("tolerances must be positive and finite")
 
     @classmethod
     def for_span(cls, span_length: float, tol: float = 1e-10, max_steps: int = 500_000) -> "IntegratorConfig":
@@ -264,34 +264,38 @@ def integrate(
     return sol
 
 
-def dense_sample(sol: RawSolution, queries: Sequence[float]) -> List[np.ndarray]:
-    """Continuous-extension samples of the accepted steps at query params.
+def dense_sample(sol: RawSolution, queries: Sequence[float]) -> np.ndarray:
+    """Continuous-extension samples of the accepted steps at query params,
+    as an (N, n) array whose row i is the state at queries[i].
 
-    Queries must lie within the integrated span; endpoints return the stored
-    states exactly."""
+    Queries must lie within the integrated span; accepted nodes return the
+    stored states exactly."""
     if not sol.ts:
         raise OutOfSpan("empty solution")
     ts = np.asarray(sol.ts)
+    ys = np.asarray(sol.ys)
+    q = np.asarray(queries, dtype=float).reshape(-1)
     ascending = ts[-1] >= ts[0]
     lo, hi = (ts[0], ts[-1]) if ascending else (ts[-1], ts[0])
-    out: List[np.ndarray] = []
-    for q in queries:
-        if q < lo - 1e-15 * max(1.0, abs(lo)) or q > hi + 1e-15 * max(1.0, abs(hi)):
-            raise OutOfSpan(f"query {q} outside integrated span [{lo}, {hi}]")
-        q = min(max(q, lo), hi)
-        if ascending:
-            idx = int(np.searchsorted(ts, q, side="right")) - 1
-        else:
-            idx = int(np.searchsorted(-ts, -q, side="right")) - 1
-        idx = min(max(idx, 0), len(ts) - 2) if len(ts) > 1 else 0
-        if len(ts) == 1 or q == ts[idx]:
-            out.append(sol.ys[idx].copy())
-            continue
-        if q == ts[idx + 1]:
-            out.append(sol.ys[idx + 1].copy())
-            continue
-        h = ts[idx + 1] - ts[idx]
-        theta = (q - ts[idx]) / h
-        powers = np.array([theta, theta * theta, theta**3, theta**4])
-        out.append(sol.ys[idx] + h * (sol.qs[idx] @ powers))
+    outside = (q < lo - 1e-15 * max(1.0, abs(lo))) | (q > hi + 1e-15 * max(1.0, abs(hi)))
+    if np.any(outside):
+        raise OutOfSpan(f"query {q[outside][0]} outside integrated span [{lo}, {hi}]")
+    q = np.clip(q, lo, hi)
+    if len(ts) == 1:
+        return ys[np.zeros(q.size, dtype=int)]
+    # the step holding each query, counted along the direction of integration
+    if ascending:
+        idx = np.searchsorted(ts, q, side="right") - 1
+    else:
+        idx = np.searchsorted(-ts, -q, side="right") - 1
+    idx = np.clip(idx, 0, len(ts) - 2)
+    left, right = ts[idx], ts[idx + 1]
+    h = right - left
+    theta = (q - left) / h
+    powers = np.stack([theta, theta * theta, theta**3, theta**4], axis=-1)
+    start = ys[idx]
+    out = start + h[:, None] * (np.asarray(sol.qs)[idx] @ powers[:, :, None])[:, :, 0]
+    at_left, at_right = q == left, q == right
+    out[at_left] = start[at_left]
+    out[at_right] = ys[idx[at_right] + 1]
     return out

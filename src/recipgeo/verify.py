@@ -210,9 +210,7 @@ def suite_residual(seed: int = 0) -> SuiteResult:
         state = geodesics.GeodesicState(Chart.RATIO, np.array(x0), np.array(v0), span[0])
         traj = geodesics.integrate_geodesic(state, a, b, span, tol=1e-10)
         res = geodesics.qr_residual(traj, a, b)
-        deltas = np.array(
-            [connection.SingularContext.from_xy(a, b, *s.position).Delta for s in traj.samples]
-        )
+        deltas = np.array([connection.SingularContext.from_xy(a, b, x, y).Delta for x, y in traj.positions])
         kept = np.abs(deltas) > 1e-3
         max_res = float(np.max(res[kept]))
         worst = max(worst, max_res)
@@ -239,11 +237,11 @@ def suite_flows(seed: int = 0) -> SuiteResult:
         S0 = float(np.dot(w.alpha, t0))
         basis = hessian.radical_basis(w).vectors
         r0 = basis @ t0
-        for s in traj.samples:
-            S_num = float(np.dot(w.alpha, s.position))
-            worst_s = max(worst_s, abs(S_num - flows.closed_form_S(S0, s.lam, w, flows.FlowSign.DESCENT)))
-            worst_drift = max(worst_drift, float(np.max(np.abs(basis @ s.position - r0))))
-        checks += len(traj.samples)
+        for tau, pos in zip(traj.lambdas, traj.positions):
+            S_num = float(np.dot(w.alpha, pos))
+            worst_s = max(worst_s, abs(S_num - flows.closed_form_S(S0, tau, w, flows.FlowSign.DESCENT)))
+            worst_drift = max(worst_drift, float(np.max(np.abs(basis @ pos - r0))))
+        checks += len(traj.lambdas)
     blowup_worst = 0.0
     for _ in range(20):
         n = 2
@@ -253,7 +251,7 @@ def suite_flows(seed: int = 0) -> SuiteResult:
             t0 = t0 + w.alpha  # push S0 away from the fixed point
         tau_star = flows.blowup_time(float(np.dot(w.alpha, t0)), w)
         traj = flows.integrate_flow(t0, w, flows.FlowSign.ASCENT, (0.0, 1.5 * tau_star), tol=1e-10, samples=64)
-        halt = traj.samples[-1].lam
+        halt = traj.lambdas[-1]
         blowup_worst = max(blowup_worst, abs(halt - tau_star) / tau_star)
         checks += 1
     passed = worst_s <= 1e-8 and worst_drift <= 1e-10 and blowup_worst <= 1e-3

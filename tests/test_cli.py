@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,29 @@ class TestGeodesic:
         # the symmetric case keeps r frozen
         assert all(abs(float(r[r_idx]) - 0.3) <= 1e-9 for r in rows)
 
+    def test_qr_chart_rows_match_ratio_chart(self, capsys):
+        # reference run 2 in both charts: the qr run's rows, mapped back to
+        # the ratio chart, agree with the ratio run's, and its residual
+        # column is small away from the singular guard
+        a, b = -2.0, 1.0
+        s0, t0 = 0.0, math.log(2.0)
+        sd, td = -1.0, 1.5
+        qr_state = [a * s0 + b * t0, -b * s0 + a * t0, a * sd + b * td, -b * sd + a * td]
+        tables = {}
+        for chart, state in (("ratio", "1,2,-1,3"), ("qr", ",".join(map(repr, qr_state)))):
+            assert main(["geodesic", "--alpha=-2,1", "--chart", chart, "--state=" + state,
+                         "--span", "0,2", "--samples", "64", "--format", "json"]) == 0
+            doc = strict_loads(capsys.readouterr().out)
+            tables[chart] = np.array(doc["rows"], dtype=float)
+        cols = doc["columns"]
+        ratio, qr = tables["ratio"], tables["qr"]
+        for name in ("x", "y", "xdot", "ydot", "q", "r", "J", "Delta"):
+            j = cols.index(name)
+            scale = np.maximum(1.0, np.abs(ratio[:, j]))
+            assert np.max(np.abs(qr[:, j] - ratio[:, j]) / scale) <= 1e-7, name
+        far = np.abs(qr[:, cols.index("Delta")]) > 1e-3
+        assert np.max(qr[far, cols.index("residual")]) <= 1e-8
+
     def test_affine_three_dimensional(self, tmp_path):
         out = tmp_path / "aff3.csv"
         code = main([
@@ -211,6 +235,47 @@ class TestFlow:
         capsys.readouterr()
         assert main(argv) == 0
         assert strict_loads(capsys.readouterr().err)["tau_star"] is None
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--span", "0,1", "--tol", "inf"],
+        ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--span", "0,1", "--tol", "nan"],
+        ["flow", "--alpha", "1,-1", "--point", "2,2", "--span", "0,1", "--tol", "nan"],
+        ["geodesic", "--alpha", f"{1/3},{1/2}", "--state", "4,2,-1,1", "--span", "0,8", "--tol", "nan"],
+        ["flow", "--alpha", "0.5,0.5", "--point", "nan,0.8", "--span", "0,1"],
+        ["flow", "--alpha", "0.5,inf", "--point", "1.2,0.8", "--span", "0,1"],
+        ["geodesic", "--alpha", "0.5,0.5", "--state", "4,2,-inf,1", "--span", "0,1"],
+        ["locus", "--alpha", "0.5,0.5", "--grid", "2", "--range=0,inf"],
+        ["eval", "--alpha", "1", "--point", "nan"],
+        ["geodesic", "--alpha", "1,1", "--type", "affine", "--state", "1,1,-1,0", "--span", "0,5",
+         "--tol", "nan"],
+        ["ricci", "--alpha", "0.5,0.5", "--Z", "inf"],
+        ["ricci", "--alpha", "0.5,0.5", "--q", "nan"],
+        ["verify", "--suite", "composition_law", "--perturb", "nan"],
+    ], ids=["flow-tol-inf", "flow-tol-nan", "converged-flow-tol-nan", "geodesic-tol-nan",
+            "flow-point-nan", "flow-alpha-inf", "geodesic-state-inf", "locus-range-inf", "eval-point-nan",
+            "affine-tol-nan", "ricci-Z-inf", "ricci-q-nan", "verify-perturb-nan"])
+    def test_non_finite_number_exits_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--alpha", f"{1/3},{1/2}", "--state", "4,2,-1,1", "--span", "0,8", "--samples", "0"],
+        ["geodesic", "--alpha", "1,1", "--type", "affine", "--state", "1,1,-1,0", "--span", "0,5",
+         "--samples", "1"],
+        ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--span", "0,1", "--samples", "-3"],
+        ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--span", "0,1", "--samples", "0"],
+    ], ids=["geodesic-0", "affine-1", "flow-minus-3", "flow-0"])
+    def test_too_few_samples_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidSampleCount" in captured.err
 
 
 class TestLocus:

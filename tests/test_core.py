@@ -14,7 +14,9 @@ from recipgeo import (
     cost_ratio,
     harmonic_feature_map,
     log_curvature,
+    log_to_qr,
     permutation_symmetry_check,
+    qr_to_log,
     reciprocal_cost_1d,
     sample_log_points,
     transform,
@@ -188,6 +190,18 @@ class TestTransform:
             )
             back = transform(q, Chart.LOG, w)
             np.testing.assert_allclose(back.coords, t.coords, rtol=1e-13, atol=1e-15)
+
+    def test_qr_rotation_on_rows(self, rng):
+        # the row-array rotation equals transform point by point, both ways
+        w = WeightVector(np.array([0.7, -1.3]))
+        st = rng.uniform(-2.0, 2.0, (25, 2))
+        qr = log_to_qr(st, w.a, w.b)
+        assert qr.shape == (25, 2)
+        for row, qr_row in zip(st, qr):
+            np.testing.assert_array_equal(transform(ChartPoint(Chart.LOG, row), Chart.QR, w).coords, qr_row)
+            np.testing.assert_array_equal(transform(ChartPoint(Chart.QR, qr_row), Chart.LOG, w).coords,
+                                          qr_to_log(qr_row, w.a, w.b))
+        np.testing.assert_allclose(qr_to_log(qr, w.a, w.b), st, rtol=0, atol=1e-15)
 
     def test_qr_requires_n2(self):
         w = WeightVector(np.ones(3))

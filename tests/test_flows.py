@@ -18,7 +18,7 @@ from recipgeo import (
     integrate_flow,
     radical_basis,
 )
-from recipgeo.errors import BlowupTime
+from recipgeo.errors import BlowupTime, InvalidSampleCount
 
 from conftest import assert_close
 
@@ -104,7 +104,7 @@ class TestIntegrateFlow:
     def test_descent_monotone_cost(self):
         w = WeightVector(np.array([0.8, 0.3]))
         traj = integrate_flow(np.array([1.5, -0.4]), w, FlowSign.DESCENT, (0.0, 6.0), samples=128)
-        costs = [cost_log(ChartPoint(Chart.LOG, s.position), w).J for s in traj.samples]
+        costs = [cost_log(ChartPoint(Chart.LOG, t), w).J for t in traj.positions]
         diffs = np.diff(costs)
         assert np.all(diffs <= 1e-12)
 
@@ -114,16 +114,16 @@ class TestIntegrateFlow:
         traj = integrate_flow(
             np.array([1.0, 0.5]), w, FlowSign.ASCENT, (0.0, 0.5 * tau_star), samples=64
         )
-        costs = [cost_log(ChartPoint(Chart.LOG, s.position), w).J for s in traj.samples]
+        costs = [cost_log(ChartPoint(Chart.LOG, t), w).J for t in traj.positions]
         assert np.all(np.diff(costs) >= -1e-12)
-        for s in traj.samples[::16]:
-            assert cost_rate(s.position, w, FlowSign.ASCENT) >= 0.0
+        for t in traj.positions[::16]:
+            assert cost_rate(t, w, FlowSign.ASCENT) >= 0.0
 
     def test_stationary_start(self):
         w = WeightVector(np.array([0.5, -0.5]))
         traj = integrate_flow(np.array([2.0, 2.0]), w, FlowSign.DESCENT, (0.0, 4.0))
         assert traj.termination is TerminationReason.CONVERGED
-        np.testing.assert_array_equal(traj.samples[-1].position, [2.0, 2.0])
+        np.testing.assert_array_equal(traj.positions[-1], [2.0, 2.0])
 
     def test_descent_converges_then_stops(self):
         # the converged stop fires once the integration tolerance is tighter
@@ -133,13 +133,13 @@ class TestIntegrateFlow:
             np.array([0.6, 0.4]), w, FlowSign.DESCENT, (0.0, 50.0), tol=1e-13, samples=64
         )
         assert traj.termination is TerminationReason.CONVERGED
-        S_end = float(np.dot(w.alpha, traj.samples[-1].position))
+        S_end = float(np.dot(w.alpha, traj.positions[-1]))
         assert abs(S_end) < 1e-11
 
     def test_descent_cost_below_threshold_at_default_tol(self):
         w = WeightVector(np.array([1.0, 1.0]))
         traj = integrate_flow(np.array([1.2, 0.8]), w, FlowSign.DESCENT, (0.0, 30.0), samples=64)
-        J_end = cost_log(ChartPoint(Chart.LOG, traj.samples[-1].position), w).J
+        J_end = cost_log(ChartPoint(Chart.LOG, traj.positions[-1]), w).J
         assert J_end < 1e-12
 
     def test_closed_form_agreement(self, rng):
@@ -149,9 +149,9 @@ class TestIntegrateFlow:
                 t0 = rng.uniform(-3, 3, n)
                 traj = integrate_flow(t0, w, FlowSign.DESCENT, (0.0, 2.0), tol=1e-10, samples=96)
                 S0 = float(np.dot(w.alpha, t0))
-                for s in traj.samples:
-                    S_num = float(np.dot(w.alpha, s.position))
-                    assert_close(S_num, closed_form_S(S0, s.lam, w, FlowSign.DESCENT), 1e-8)
+                for tau, t in zip(traj.lambdas, traj.positions):
+                    S_num = float(np.dot(w.alpha, t))
+                    assert_close(S_num, closed_form_S(S0, tau, w, FlowSign.DESCENT), 1e-8)
 
     def test_transverse_conservation(self, rng):
         for n in (2, 3, 5):
@@ -161,7 +161,7 @@ class TestIntegrateFlow:
                 traj = integrate_flow(t0, w, FlowSign.DESCENT, (0.0, 2.0), tol=1e-10, samples=96)
                 basis = radical_basis(w).vectors
                 r0 = basis @ t0
-                drift = max(float(np.max(np.abs(basis @ s.position - r0))) for s in traj.samples)
+                drift = max(float(np.max(np.abs(basis @ t - r0))) for t in traj.positions)
                 assert drift <= 1e-10
 
     def test_ascent_blowup_time(self):
@@ -170,17 +170,37 @@ class TestIntegrateFlow:
         tau_star = blowup_time(1.0, w)
         traj = integrate_flow(t0, w, FlowSign.ASCENT, (0.0, 2.0 * tau_star), tol=1e-10, samples=64)
         assert traj.termination in (TerminationReason.BLOWUP, TerminationReason.STEP_UNDERFLOW)
-        halt = traj.samples[-1].lam
+        halt = traj.lambdas[-1]
         assert abs(halt - tau_star) / tau_star <= 1e-3
+
+    def test_too_few_samples(self):
+        w = WeightVector(np.array([0.5, 0.5]))
+        for samples in (1, 0, -3):
+            with pytest.raises(InvalidSampleCount):
+                integrate_flow(np.array([1.2, 0.8]), w, FlowSign.DESCENT, (0.0, 1.0), samples=samples)
+        with pytest.raises(InvalidSampleCount):  # also where the flow starts converged
+            integrate_flow(np.array([2.0, -2.0]), w, FlowSign.DESCENT, (0.0, 1.0), samples=0)
+
+    def test_sampled_rates(self):
+        # velocity rows are the gradient field and acceleration rows
+        # |alpha|^2 sinh S cosh S alpha at each sampled position
+        w = WeightVector(np.array([0.6, -0.3, 0.9]))
+        traj = integrate_flow(np.array([0.5, 0.2, 0.4]), w, FlowSign.ASCENT, (0.0, 0.3), samples=40)
+        assert traj.chart is Chart.LOG
+        assert traj.positions.shape == traj.velocities.shape == traj.accelerations.shape == (40, 3)
+        for t, v, acc in zip(traj.positions, traj.velocities, traj.accelerations):
+            np.testing.assert_array_equal(v, gradient_field(t, w, FlowSign.ASCENT))
+            S = float(w.alpha @ t)
+            np.testing.assert_allclose(acc, w.norm_sq * math.sinh(S) * math.cosh(S) * w.alpha, rtol=1e-14)
 
     def test_cost_rate_matches_difference_quotient(self):
         w = WeightVector(np.array([0.7, 0.4]))
         traj = integrate_flow(np.array([1.0, -0.2]), w, FlowSign.DESCENT, (0.0, 1.0), samples=512)
         lams = traj.lambdas
-        costs = np.array([cost_log(ChartPoint(Chart.LOG, s.position), w).J for s in traj.samples])
+        costs = np.array([cost_log(ChartPoint(Chart.LOG, t), w).J for t in traj.positions])
         mid_rates = (costs[2:] - costs[:-2]) / (lams[2:] - lams[:-2])
         for idx in range(10, 500, 37):
-            rate = cost_rate(traj.samples[idx + 1].position, w, FlowSign.DESCENT)
+            rate = cost_rate(traj.positions[idx + 1], w, FlowSign.DESCENT)
             assert_close(mid_rates[idx], rate, 1e-6)
 
 

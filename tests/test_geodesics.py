@@ -24,7 +24,13 @@ from recipgeo import (
     radical_basis,
     tangent_constraints,
 )
-from recipgeo.errors import InadmissibleInitialState, InvalidSpan, ZeroExponent, ZeroSum
+from recipgeo.errors import (
+    InadmissibleInitialState,
+    InvalidSampleCount,
+    InvalidSpan,
+    ZeroExponent,
+    ZeroSum,
+)
 
 from conftest import assert_close
 
@@ -108,7 +114,7 @@ class TestAffineRatio:
             AffineStructure.RATIO_FLAT, start, np.array([-1.0, 0.0]), (0.0, 5.0), num=64
         )
         assert traj.termination is TerminationReason.DOMAIN_BOUNDARY
-        assert traj.samples[-1].lam < 1.0
+        assert traj.lambdas[-1] < 1.0
         assert np.all(traj.positions > 0.0)
 
     def test_trajectory_full_span(self):
@@ -117,15 +123,14 @@ class TestAffineRatio:
             AffineStructure.RATIO_FLAT, start, np.array([1.0, 2.0]), (0.0, 3.0), num=32
         )
         assert traj.termination is TerminationReason.SPAN_COMPLETE
-        assert traj.samples[-1].lam == 3.0
+        assert traj.lambdas[-1] == 3.0
 
     def test_log_flat_trajectory_accelerations(self):
         start = ChartPoint(Chart.RATIO, np.array([2.0, 1.0]))
         v = np.array([0.3, -0.4])
         traj = affine_trajectory(AffineStructure.LOG_FLAT, start, v, (0.0, 2.0), num=16)
-        for s in traj.samples:
-            np.testing.assert_allclose(s.velocity, v * s.position, rtol=1e-13)
-            np.testing.assert_allclose(s.acceleration, v * v * s.position, rtol=1e-13)
+        np.testing.assert_allclose(traj.velocities, v * traj.positions, rtol=1e-13)
+        np.testing.assert_allclose(traj.accelerations, v * v * traj.positions, rtol=1e-13)
 
 
 class TestLcRhs:
@@ -192,8 +197,7 @@ class TestIntegrateGeodesic:
         st = GeodesicState(Chart.RATIO, [2.0, 3.0], [0.0, 0.0], 0.0)
         traj = integrate_geodesic(st, 0.3, 0.4, (0.0, 2.0), tol=1e-10, samples=16)
         assert traj.termination is TerminationReason.SPAN_COMPLETE
-        for s in traj.samples:
-            np.testing.assert_allclose(s.position, [2.0, 3.0], rtol=1e-12)
+        np.testing.assert_allclose(traj.positions, np.tile([2.0, 3.0], (16, 1)), rtol=1e-12)
 
     def test_reference_run_one(self):
         st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
@@ -204,9 +208,7 @@ class TestIntegrateGeodesic:
             TerminationReason.SPAN_COMPLETE,
         )
         res = qr_residual(traj, 1 / 3, 1 / 2)
-        deltas = np.array(
-            [SingularContext.from_xy(1 / 3, 1 / 2, *s.position).Delta for s in traj.samples]
-        )
+        deltas = np.array([SingularContext.from_xy(1 / 3, 1 / 2, x, y).Delta for x, y in traj.positions])
         assert np.max(res[np.abs(deltas) > 1e-3]) <= 1e-8
 
     def test_reference_run_two(self):
@@ -214,9 +216,7 @@ class TestIntegrateGeodesic:
         traj = integrate_geodesic(st, -2.0, 1.0, (0.0, 4.0), tol=1e-10)
         assert traj.termination is TerminationReason.SPAN_COMPLETE
         res = qr_residual(traj, -2.0, 1.0)
-        deltas = np.array(
-            [SingularContext.from_xy(-2.0, 1.0, *s.position).Delta for s in traj.samples]
-        )
+        deltas = np.array([SingularContext.from_xy(-2.0, 1.0, x, y).Delta for x, y in traj.positions])
         assert np.max(res[np.abs(deltas) > 1e-3]) <= 1e-8
 
     def test_lambda_monotone(self):
@@ -232,8 +232,8 @@ class TestIntegrateGeodesic:
         tol = 1e-10
         traj = integrate_geodesic(st, a, b, (0.0, 4.0), tol=tol)
         energies = [
-            float(s.velocity @ hessian_ratio(ChartPoint(Chart.RATIO, s.position), w).to_dense() @ s.velocity)
-            for s in traj.samples
+            float(v @ hessian_ratio(ChartPoint(Chart.RATIO, x), w).to_dense() @ v)
+            for x, v in zip(traj.positions, traj.velocities)
         ]
         budget = 5.0 * tol * max(traj.accepted, 1) * max(1.0, abs(energies[0]))
         assert max(energies) - min(energies) <= budget
@@ -248,17 +248,42 @@ class TestIntegrateGeodesic:
         with pytest.raises(InvalidSpan):
             integrate_geodesic(st, 0.5, 0.5, (1.0, 1.0))
 
+    def test_too_few_samples(self):
+        st = GeodesicState(Chart.RATIO, [2.0, 3.0], [0.1, 0.0], 0.0)
+        for samples in (1, 0, -3):
+            with pytest.raises(InvalidSampleCount):
+                integrate_geodesic(st, 0.5, 0.5, (0.0, 1.0), samples=samples)
+        start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
+        with pytest.raises(InvalidSampleCount):
+            affine_trajectory(AffineStructure.LOG_FLAT, start, np.array([1.0, 0.0]), (0.0, 1.0), num=1)
+
+    def test_arrays_and_accelerations(self):
+        # one row per sample; each acceleration is the closed-form rhs there
+        for chart, state, rhs in (
+            (Chart.RATIO, ([1.0, 2.0], [-1.0, 3.0]), lc_rhs_xy),
+            (Chart.QR, ([0.7, 0.3], [-0.2, 0.4]), lc_rhs_qr),
+        ):
+            st = GeodesicState(chart, *state, 0.0)
+            traj = integrate_geodesic(st, 0.8, -0.3, (0.0, 1.0), tol=1e-10, samples=33)
+            assert traj.chart is chart
+            assert traj.lambdas.shape == (33,)
+            for arr in (traj.positions, traj.velocities, traj.accelerations):
+                assert arr.shape == (33, 2)
+            np.testing.assert_array_equal(traj.positions[0], state[0])
+            for lam, x, v, acc in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations):
+                np.testing.assert_array_equal(acc, rhs(GeodesicState(chart, x, v, lam), 0.8, -0.3))
+
     def test_qr_chart_symmetric_case(self):
         st = GeodesicState(Chart.QR, [1.0, 0.3], [-0.4, 0.0], 0.0)
         traj = integrate_geodesic(st, 0.5, 0.5, (0.0, 3.0), tol=1e-10, samples=128)
-        assert max(abs(s.velocity[1]) for s in traj.samples) <= 1e-10
+        assert np.max(np.abs(traj.velocities[:, 1])) <= 1e-10
 
     def test_termination_soundness(self):
         # when the guard reports a singularity the final sample is within 10x
         st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
         traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=1e-10)
         if traj.termination is TerminationReason.SINGULARITY_REACHED:
-            d = SingularContext.from_xy(1 / 3, 1 / 2, *traj.samples[-1].position).Delta
+            d = SingularContext.from_xy(1 / 3, 1 / 2, *traj.positions[-1]).Delta
             assert abs(d) <= 10.0 * 1e-9
 
 
@@ -279,6 +304,31 @@ class TestQrResidual:
         )
         res = qr_residual(traj, a, b)
         assert np.max(res) > 1e-3
+
+    def test_qr_chart_trajectory(self):
+        # the reference run 2 integrated in the (q, r) chart, residual from
+        # its stored (q'', r'') away from the singular guard
+        a, b = -2.0, 1.0
+        st = GeodesicState(Chart.RATIO, [1.0, 2.0], [-1.0, 3.0], 0.0)
+        ratio = integrate_geodesic(st, a, b, (0.0, 4.0), tol=1e-10)
+        x, y = st.position
+        lx, ly = st.velocity / st.position
+        s0, t0 = math.log(x), math.log(y)
+        sq = GeodesicState(Chart.QR, [a * s0 + b * t0, -b * s0 + a * t0], [a * lx + b * ly, -b * lx + a * ly], 0.0)
+        traj = integrate_geodesic(sq, a, b, (0.0, 4.0), tol=1e-10)
+        assert traj.termination is ratio.termination
+        res = qr_residual(traj, a, b)
+        deltas = np.array([SingularContext.from_q(a, b, q).Delta for q in traj.positions[:, 0]])
+        far = np.abs(deltas) > 1e-3
+        assert far.sum() > 400
+        assert np.max(res[far]) <= 1e-8
+
+    def test_infinite_at_q_zero(self):
+        traj = integrate_geodesic(GeodesicState(Chart.QR, [0.5, 0.0], [0.1, 0.2], 0.0), 0.4, 0.7, (0.0, 1.0))
+        traj.positions[3, 0] = 0.0
+        res = qr_residual(traj, 0.4, 0.7)
+        assert res[3] == math.inf
+        assert np.all(np.isfinite(np.delete(res, 3)))
 
     def test_lc_trajectory_small_residual(self):
         st = GeodesicState(Chart.RATIO, [1.0, 2.0], [-1.0, 3.0], 0.0)

@@ -17,6 +17,7 @@ from recipgeo import (
     mean_function,
     symmetrized_is,
 )
+from recipgeo import infogeo
 from recipgeo.errors import NonPositiveInput, Overflow
 
 from conftest import assert_close, assert_matrix_close
@@ -157,6 +158,19 @@ class TestMeanFunction:
 
 
 class TestFisherInfo:
+    def test_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fisher_info ran the mean-function quadrature")
+
+        monkeypatch.setattr(infogeo, "_adaptive_simpson", refuse)
+        w = WeightVector(np.array([0.5, -0.8, 1.1]))
+        t = np.array([0.7, -1.2, 0.4])
+        S = float(w.alpha @ t)
+        info = fisher_info(ChartPoint(Chart.LOG, t), w)
+        assert_matrix_close(info.to_dense(), math.cosh(S) * np.outer(w.alpha, w.alpha), 1e-14)
+        with pytest.raises(Overflow):
+            fisher_info(ChartPoint(Chart.LOG, np.array([701.0])), WeightVector(np.array([1.0])))
+
     def test_outer_product_at_origin(self):
         w = WeightVector(np.array([0.3, -0.4]))
         m = fisher_info(ChartPoint(Chart.LOG, np.zeros(2)), w)

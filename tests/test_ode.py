@@ -103,7 +103,26 @@ class TestDenseOutput:
     def test_empty_queries(self):
         cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
         sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
-        assert ode.dense_sample(sol, []) == []
+        assert ode.dense_sample(sol, []).shape == (0, 1)
+
+    def test_backward_span_nodes_and_extension(self):
+        # descending ts: nodes come back exactly, and between them the
+        # quartic extension of the step that holds the query
+        cfg = ode.IntegratorConfig.for_span(1.5, tol=1e-10)
+        rhs = lambda t, y: np.array([y[1], -y[0]])
+        sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, -1.5), cfg)
+        ts = np.asarray(sol.ts)
+        assert np.all(np.diff(ts) < 0.0)
+        np.testing.assert_array_equal(ode.dense_sample(sol, ts), np.asarray(sol.ys))
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        got = ode.dense_sample(sol, mids)
+        assert got.shape == (len(mids), 2)
+        for i, q in enumerate(mids):
+            h = ts[i + 1] - ts[i]
+            theta = (q - ts[i]) / h
+            expected = sol.ys[i] + h * (sol.qs[i] @ np.array([theta, theta**2, theta**3, theta**4]))
+            np.testing.assert_allclose(got[i], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[:, 0], np.cos(mids), rtol=0, atol=1e-8)
 
     def test_out_of_span(self):
         cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
@@ -125,6 +144,13 @@ class TestConfig:
     def test_invalid_bounds(self):
         with pytest.raises(InvalidSpan):
             ode.IntegratorConfig(min_step=1.0, initial_step=0.1, max_step=10.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+    def test_tolerance_positive_and_finite(self, tol):
+        with pytest.raises(InvalidSpan):
+            ode.IntegratorConfig(rel_tol=tol)
+        with pytest.raises(InvalidSpan):
+            ode.IntegratorConfig.for_span(1.0, tol=tol)
 
     def test_span_scaling(self):
         cfg = ode.IntegratorConfig.for_span(4.0, tol=1e-9)
