@@ -214,19 +214,17 @@ def cmd_christoffel(args) -> int:
     if chart is Chart.RATIO:
         gamma = connection.lc_christoffel_xy(w.a, w.b, coords[0], coords[1])
         ctx = connection.SingularContext.from_xy(w.a, w.b, coords[0], coords[1])
-        labels = ["G^x_xx", "G^x_xy", "G^x_yy", "G^y_xx", "G^y_xy", "G^y_yy"]
+        names = "xy"
         rows.append(["Z", ctx.Z])
         rows.append(["Delta", ctx.Delta])
     elif chart is Chart.LOG:
         gamma = connection.lc_christoffel_st(w.a, w.b, coords[0], coords[1])
-        labels = ["G^s_ss", "G^s_st", "G^s_tt", "G^t_ss", "G^t_st", "G^t_tt"]
-        rows.append(["q", w.a * coords[0] + w.b * coords[1]])
+        names = "st"
+        rows.append(["q", core.log_to_qr(coords, w.a, w.b)[0]])
     else:
         raise UsageError("christoffel tables are printed in the ratio or log chart")
-    packed = gamma.packed
-    order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    for label, (k, idx) in zip(labels, order):
-        rows.append([label, packed[k, idx]])
+    for k, i, j in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)):
+        rows.append([f"G^{names[k]}_{names[i]}{names[j]}", gamma.array[k, i, j]])
     _emit(args, ["quantity", "value"], rows,
           {"alpha": [w.a, w.b], "chart": chart.value})
     return EXIT_OK
@@ -260,12 +258,9 @@ def _geodesic_rows(traj, a: float, b: float):
         qr = traj.positions
         xy = np.exp(core.qr_to_log(qr, a, b))
         vxy = core.qr_to_log(traj.velocities, a, b) * xy  # chain rule back to the ratio chart
-    rows = []
-    for lam, (x, y), (vx, vy), (q, r), res in zip(traj.lambdas, xy, vxy, qr, residuals):
-        ctx = connection.SingularContext.from_xy(a, b, x, y)
-        J = core.cost_ratio(ChartPoint(Chart.RATIO, np.array([x, y])), w).J
-        rows.append([lam, x, y, vx, vy, q, r, J, ctx.Delta, res])
-    return rows
+    delta = connection.SingularContext.from_xy(a, b, xy[:, 0], xy[:, 1]).Delta
+    J = [core.cost_ratio(ChartPoint(Chart.RATIO, p), w).J for p in xy]
+    return np.column_stack([traj.lambdas, xy, vxy, qr, J, delta, residuals]).tolist()
 
 
 def cmd_geodesic(args) -> int:
@@ -382,16 +377,9 @@ def cmd_locus(args) -> int:
     logs = np.linspace(lo, hi, n)
     xs = np.exp(logs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = np.exp(2.0 * (a * np.log(X) + b * np.log(Y)))
-    F_zero = Z - 1.0
-    F_sing = (a + b - 1.0) * Z + (a + b + 1.0)
-    F_ricci = (a + b - 2.0) * Z + (a + b + 2.0)
-    Delta = F_zero * F_sing
-    if a + b == 0.0:
-        ricci = np.zeros_like(Z)  # curvature vanishes identically
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ricci = 4.0 * (a + b) * Z ** 1.5 * F_ricci / (F_zero**2 * F_sing**2)
+    ctx = connection.SingularContext.from_xy(a, b, X, Y)
+    F_zero, F_sing, F_ricci = connection.z_factors(a, b, ctx.Z)
+    ricci = connection.ricci_xy(a, b, ctx.Z)
 
     def adjacency(F: np.ndarray) -> np.ndarray:
         flag = np.zeros_like(F, dtype=bool)
@@ -408,10 +396,8 @@ def cmd_locus(args) -> int:
         + 2 * adjacency(F_sing).astype(int)
         + 4 * adjacency(F_ricci).astype(int)
     )
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([X[i, j], Y[i, j], Z[i, j], Delta[i, j], float(ricci[i, j]), int(flags[i, j])])
+    table = np.column_stack([X.ravel(), Y.ravel(), ctx.Z.ravel(), ctx.Delta.ravel(), ricci.ravel()])
+    rows = [row + [f] for row, f in zip(table.tolist(), flags.ravel().tolist())]
     _emit(args, ["x", "y", "Z", "Delta", "Ricci", "flags"], rows,
           {"alpha": [a, b], "grid": n, "range": [lo, hi]})
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,79 +44,70 @@ class AffineStructure(enum.Enum):
 
 @dataclass(frozen=True)
 class ChristoffelTensor:
-    """Connection coefficients with lower-index symmetry exact by storage:
-    per upper index k only the packed upper triangle of (i, j) is kept."""
+    """Connection coefficients Gamma^k_ij as one dense (n, n, n) array indexed
+    [k, i, j]; the constructor symmetrises the lower pair, so Gamma^k_ij =
+    Gamma^k_ji holds exactly."""
 
-    n: int
-    packed: np.ndarray  # shape (n, n(n+1)/2)
+    array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.packed, dtype=float)
-        expected = (self.n, self.n * (self.n + 1) // 2)
-        if arr.shape != expected:
-            raise DimensionMismatch(f"expected packed shape {expected}")
-        object.__setattr__(self, "packed", arr)
+        g = np.asarray(self.array, dtype=float)
+        if g.ndim != 3 or not g.shape[0] == g.shape[1] == g.shape[2]:
+            raise DimensionMismatch("gamma must be (n, n, n)")
+        object.__setattr__(self, "array", 0.5 * (g + g.transpose(0, 2, 1)))
+
+    @property
+    def n(self) -> int:
+        return self.array.shape[0]
 
     @classmethod
     def zero(cls, n: int) -> "ChristoffelTensor":
-        return cls(n, np.zeros((n, n * (n + 1) // 2)))
-
-    @classmethod
-    def from_array(cls, gamma: np.ndarray) -> "ChristoffelTensor":
-        gamma = np.asarray(gamma, dtype=float)
-        n = gamma.shape[0]
-        if gamma.shape != (n, n, n):
-            raise DimensionMismatch("gamma must be (n, n, n)")
-        packed = np.empty((n, n * (n + 1) // 2))
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    packed[k, SymMatrix._index(n, i, j)] = 0.5 * (gamma[k, i, j] + gamma[k, j, i])
-        return cls(n, packed)
+        return cls(np.zeros((n, n, n)))
 
     @classmethod
     def from_2d(cls, xxx, xxy, xyy, yxx, yxy, yyy) -> "ChristoffelTensor":
-        return cls(2, np.array([[xxx, xxy, xyy], [yxx, yxy, yyy]], dtype=float))
-
-    def get(self, k: int, i: int, j: int) -> float:
-        return float(self.packed[k, SymMatrix._index(self.n, i, j)])
+        return cls(np.array([xxx, xxy, xxy, xyy, yxx, yxy, yxy, yyy], dtype=float).reshape(2, 2, 2))
 
     def as_array(self) -> np.ndarray:
-        gamma = np.empty((self.n, self.n, self.n))
-        for k in range(self.n):
-            for i in range(self.n):
-                for j in range(self.n):
-                    gamma[k, i, j] = self.packed[k, SymMatrix._index(self.n, i, j)]
-        return gamma
+        return self.array.copy()
 
     def contract(self, v: np.ndarray) -> np.ndarray:
         """Gamma^k_ij v^i v^j for each k."""
-        g = self.as_array()
         v = np.asarray(v, dtype=float)
-        return np.einsum("kij,i,j->k", g, v, v)
+        return np.einsum("kij,i,j->k", self.array, v, v)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.packed)))
+        return float(np.max(np.abs(self.array)))
+
+
+def z_factors(a: float, b: float, Z):
+    """The Z-polynomials of the Levi-Civita data, for a float Z or an array:
+    Z - 1 (zero on R = 1), (a+b-1) Z + (a+b+1) (zero on the secondary
+    locus) and (a+b-2) Z + (a+b+2) (the zero set of the Ricci scalar).
+    Delta is the product of the first two."""
+    return Z - 1.0, (a + b - 1.0) * Z + (a + b + 1.0), (a + b - 2.0) * Z + a + b + 2.0
 
 
 @dataclass(frozen=True)
 class SingularContext:
     """The squared ratio product Z = R^2 and the Levi-Civita denominator
-    Delta = (Z - 1)((a+b-1) Z + (a+b+1))."""
+    Delta = (Z - 1)((a+b-1) Z + (a+b+1)): floats, or arrays with one entry
+    per point.  Array coordinates are not checked for positivity."""
 
     Z: float
     Delta: float
 
     @classmethod
-    def from_xy(cls, a: float, b: float, x: float, y: float) -> "SingularContext":
-        if x <= 0.0 or y <= 0.0:
+    def from_xy(cls, a: float, b: float, x, y) -> "SingularContext":
+        xp = np if isinstance(x, np.ndarray) else math
+        if xp is math and (x <= 0.0 or y <= 0.0):
             raise NonPositiveCoordinate("ratio coordinates must be positive")
-        Z = math.exp(2.0 * (a * math.log(x) + b * math.log(y)))
-        return cls.from_Z(a, b, Z)
+        return cls.from_Z(a, b, xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y))))
 
     @classmethod
-    def from_Z(cls, a: float, b: float, Z: float) -> "SingularContext":
-        return cls(Z=Z, Delta=(Z - 1.0) * ((a + b - 1.0) * Z + (a + b + 1.0)))
+    def from_Z(cls, a: float, b: float, Z) -> "SingularContext":
+        zero, sing, _ = z_factors(a, b, Z)
+        return cls(Z=Z, Delta=zero * sing)
 
     @classmethod
     def from_q(cls, a: float, b: float, q: float) -> "SingularContext":
@@ -182,7 +174,7 @@ def _invert_2x2(g: np.ndarray) -> np.ndarray:
 def _metric_array(metric_fn: Callable[[np.ndarray], object], p: np.ndarray) -> np.ndarray:
     m = metric_fn(np.asarray(p, dtype=float))
     if isinstance(m, SymMatrix):
-        return m.to_dense()
+        return m.array
     return np.asarray(m, dtype=float)
 
 
@@ -210,20 +202,27 @@ def christoffel_from_metric(
                 for l in range(2):
                     acc += ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
                 gamma[k, i, j] = 0.5 * acc
-    return ChristoffelTensor.from_array(gamma)
+    return ChristoffelTensor(gamma)
 
 
-def ricci_xy(a: float, b: float, Z: float) -> float:
+def ricci_xy(a: float, b: float, Z):
     """Ricci scalar of the ratio-chart Hessian metric as a function of
-    Z = x^{2a} y^{2b}; vanishes identically when a + b = 0."""
-    if Z <= 0.0:
+    Z = x^{2a} y^{2b}; vanishes identically when a + b = 0.
+
+    A float Z must be positive and off both degeneracy loci.  An array of Z
+    is evaluated without those guards: entries on a locus come out huge or
+    non-finite, except that a + b = 0 gives exact zeros."""
+    zero, sing, curv = z_factors(a, b, Z)
+    xp = np if isinstance(Z, np.ndarray) else math
+    if xp is np:
+        if a + b == 0.0:
+            return np.zeros_like(Z)
+    elif Z <= 0.0:
         raise NonPositiveCoordinate("Z must be positive")
-    den1 = Z - 1.0
-    den2 = (a + b - 1.0) * Z + (a + b + 1.0)
-    if abs(den1) < EPS_SINGULAR or abs(den2) < EPS_SINGULAR:
+    elif abs(zero) < EPS_SINGULAR or abs(sing) < EPS_SINGULAR:
         raise SingularLocus("Ricci scalar diverges on the degeneracy loci")
-    num = 4.0 * (a + b) * Z * math.sqrt(Z) * ((a + b - 2.0) * Z + a + b + 2.0)
-    return num / (den1 * den1 * den2 * den2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if xp is np else nullcontext():
+        return 4.0 * (a + b) * Z * xp.sqrt(Z) * curv / (zero * zero * sing * sing)
 
 
 def ricci_q(a: float, b: float, q: float) -> float:
@@ -254,13 +253,12 @@ def affine_connection(structure: AffineStructure, chart: Chart, p: ChartPoint) -
     if structure is AffineStructure.RATIO_FLAT and chart is Chart.RATIO:
         return ChristoffelTensor.zero(n)
     gamma = np.zeros((n, n, n))
+    diag = np.arange(n)
     if structure is AffineStructure.LOG_FLAT:  # in the ratio chart
-        for i in range(n):
-            gamma[i, i, i] = -1.0 / p.coords[i]
+        gamma[diag, diag, diag] = -1.0 / p.coords
     else:  # ratio-flat in the log chart
-        for i in range(n):
-            gamma[i, i, i] = 1.0
-    return ChristoffelTensor.from_array(gamma)
+        gamma[diag, diag, diag] = 1.0
+    return ChristoffelTensor(gamma)
 
 
 def projective_obstruction(x: ChartPoint) -> float:

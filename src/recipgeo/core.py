@@ -30,9 +30,6 @@ from .errors import (
 # exp/cosh overflow past this; S is kept in log space so this is the only wall
 S_MAX = 709.0
 
-# |S| below this counts as lying on the zero-cost hypersurface R = 1
-ZERO_COST_S = 1e-12
-
 
 class Chart(enum.Enum):
     """Coordinate charts: positive ratio coordinates, their logs, and the

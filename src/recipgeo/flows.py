@@ -19,7 +19,7 @@ import numpy as np
 from . import ode
 from .core import Chart, ChartPoint, WeightVector
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
-from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples, _rowwise
+from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples
 from .hessian import radical_basis
 
 # |S| below this counts as converged to the minimum (descent)
@@ -134,7 +134,7 @@ def integrate_flow(
     sgn = sign.value
 
     def rhs(_tau: float, y: np.ndarray) -> np.ndarray:
-        return sgn * alpha * math.sinh(float(np.dot(alpha, y)))
+        return _flow_velocity(y, alpha, sgn)
 
     def stop(_tau: float, y: np.ndarray) -> Optional[TerminationReason]:
         S = float(np.dot(alpha, y))
@@ -154,8 +154,7 @@ def integrate_flow(
     return Trajectory.from_solution(
         sol, Chart.LOG, tau0, samples,
         lambda y: _underflow_reason(y, alpha, sign),
-        lambda ys: (ys, _rowwise(lambda y: rhs(0.0, y), ys, w.n),
-                    _rowwise(lambda y: _flow_accel(y, alpha, n2), ys, w.n)),
+        lambda ys: (ys, _flow_velocity(ys, alpha, sgn), _flow_accel(ys, alpha, n2)),
     )
 
 
@@ -168,11 +167,29 @@ def _underflow_reason(y: np.ndarray, alpha: np.ndarray, sign: FlowSign) -> Termi
     return TerminationReason.STEP_UNDERFLOW
 
 
+def _alpha_dot(y: np.ndarray, alpha: np.ndarray):
+    """S = alpha . y with the module to evaluate functions of it: a float and
+    `math` for one point y (n,), an (N, 1) column and numpy for rows (N, n).
+    The rows take one dot product each, so every S has the bits of the
+    one-point call."""
+    if y.ndim == 1:
+        return y @ alpha, math
+    return y[:, None, :] @ alpha, np
+
+
+def _flow_velocity(y: np.ndarray, alpha: np.ndarray, sgn: float) -> np.ndarray:
+    """dt/dtau = +-alpha sinh(S), at one point or at rows (see _alpha_dot)."""
+    S, xp = _alpha_dot(y, alpha)
+    return sgn * xp.sinh(S) * alpha
+
+
 def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float) -> np.ndarray:
-    # d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square)
-    S = float(np.dot(alpha, y))
-    try:
-        val = 0.5 * math.sinh(2.0 * S)
-    except OverflowError:
-        val = math.copysign(math.inf, S)
+    """d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square),
+    at one point or at rows; +-inf where sinh(2S) overflows."""
+    S, xp = _alpha_dot(y, alpha)
+    with np.errstate(over="ignore"):
+        try:
+            val = 0.5 * xp.sinh(2.0 * S)
+        except OverflowError:
+            val = math.copysign(math.inf, S)
     return n2 * val * alpha

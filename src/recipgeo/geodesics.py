@@ -117,15 +117,6 @@ def _require_samples(samples: int) -> None:
         raise InvalidSampleCount(f"a trajectory needs at least 2 samples, got {samples}")
 
 
-def _rowwise(fn: Callable[[np.ndarray], object], ys: np.ndarray, width: int) -> np.ndarray:
-    """fn at each row of ys, as an (N, width) array: the closed forms take
-    one point at a time."""
-    out = np.empty((len(ys), width))
-    for i, y in enumerate(ys):
-        out[i] = fn(y)
-    return out
-
-
 @dataclass(frozen=True)
 class TangentConstraint:
     """Leading-order tangent data compatible with a formal extension across
@@ -233,11 +224,15 @@ def affine_trajectory(
 
 # -- Levi-Civita right-hand sides --------------------------------------------
 
-def _accel_xy(a: float, b: float, x: float, y: float, vx: float, vy: float,
-              guard: float = EPS_SINGULAR) -> Tuple[float, float]:
+def _accel_xy(a: float, b: float, x, y, vx, vy):
+    """Geodesic acceleration (x'', y'') in the ratio chart.  Takes floats
+    (evaluated with `math`, raising within EPS_SINGULAR of Delta = 0) or
+    equal-shape arrays (with numpy and no guard: NaN only where Delta = 0)."""
     ctx = SingularContext.from_xy(a, b, x, y)
     Z, Delta = ctx.Z, ctx.Delta
-    if abs(Delta) < guard:
+    if isinstance(Delta, np.ndarray):
+        Delta = np.where(Delta == 0.0, math.nan, Delta)
+    elif abs(Delta) < EPS_SINGULAR:
         raise SingularMetric(f"|Delta| = {abs(Delta):.3e} below guard")
     Z2 = Z * Z
     ax = (
@@ -292,12 +287,18 @@ def _qr_lhs_parts(a: float, b: float, q, qd, rd):
     return L, Fq, Fr
 
 
-def _accel_qr(a: float, b: float, q: float, qd: float, rd: float,
-              guard: float = EPS_SINGULAR) -> Tuple[float, float]:
-    if abs(math.sinh(q)) < guard:
+def _accel_qr(a: float, b: float, q, qd, rd):
+    """Geodesic acceleration (q'', r'') solved from the implicit forms.
+    Takes floats (raising within EPS_SINGULAR of q = 0 or L = 0) or
+    equal-shape arrays (no guard: NaN only where q = 0 or L = 0)."""
+    if isinstance(q, np.ndarray):
+        q = np.where(q == 0.0, math.nan, q)
+    elif abs(math.sinh(q)) < EPS_SINGULAR:
         raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
     L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
-    if abs(L) < guard:
+    if isinstance(L, np.ndarray):
+        L = np.where(L == 0.0, math.nan, L)
+    elif abs(L) < EPS_SINGULAR:
         raise SingularMetric("(a+b) cosh q = sinh q: leading coefficient vanishes")
     return -Fq / L, -Fr / L
 
@@ -373,24 +374,16 @@ def integrate_geodesic(
     cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol, max_steps=max_steps)
     if state0.chart is Chart.RATIO:
         guard, underflow = _guard_xy, _underflow_xy
-        accel = lambda yv, eps=EPS_SINGULAR: _accel_xy(a, b, yv[0], yv[1], yv[2], yv[3], eps)
+        accel = lambda y: _accel_xy(a, b, y[0], y[1], y[2], y[3])
     elif state0.chart is Chart.QR:
         guard, underflow = _guard_qr, _underflow_qr
-        accel = lambda yv, eps=EPS_SINGULAR: _accel_qr(a, b, yv[0], yv[2], yv[3], eps)
+        accel = lambda y: _accel_qr(a, b, y[0], y[2], y[3])
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
 
     def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
         ax, ay = accel(yv)
         return np.array([yv[2], yv[3], ax, ay])
-
-    def sampled_accel(yv: np.ndarray):
-        # no guard: samples between the last accepted step and a singular
-        # set still get their acceleration, NaN only where it is undefined
-        try:
-            return accel(yv, 0.0)
-        except (ZeroQ, SingularMetric, ZeroDivisionError):
-            return math.nan
 
     reason0 = guard(a, b, state0.position)
     if reason0 is not None:
@@ -401,7 +394,7 @@ def integrate_geodesic(
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
         lambda y: underflow(a, b, y[:2]),
-        lambda ys: (ys[:, :2], ys[:, 2:], _rowwise(sampled_accel, ys, 2)),
+        lambda ys: (ys[:, :2], ys[:, 2:], np.column_stack(accel(ys.T))),
     )
 
 

@@ -30,58 +30,35 @@ DET_ZERO_COST_S = 1e-12
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense symmetric matrix stored as the row-major upper triangle."""
+    """Symmetric matrix held as one dense (n, n) array; the constructor
+    symmetrises its input as (m + m^T) / 2."""
 
-    n: int
-    entries: np.ndarray  # length n(n+1)/2
+    array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        expected = self.n * (self.n + 1) // 2
-        if arr.shape != (expected,):
-            raise DimensionMismatch(f"expected {expected} packed entries for n={self.n}")
-        object.__setattr__(self, "entries", arr)
-
-    @staticmethod
-    def _index(n: int, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * n - i * (i - 1) // 2 + (j - i)
-
-    @classmethod
-    def from_dense(cls, m: np.ndarray) -> "SymMatrix":
-        m = np.asarray(m, dtype=float)
+        m = np.asarray(self.array, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("dense input must be square")
-        n = m.shape[0]
-        sym = 0.5 * (m + m.T)
-        packed = np.empty(n * (n + 1) // 2)
-        for i in range(n):
-            for j in range(i, n):
-                packed[cls._index(n, i, j)] = sym[i, j]
-        return cls(n, packed)
+        object.__setattr__(self, "array", 0.5 * (m + m.T))
+
+    @property
+    def n(self) -> int:
+        return self.array.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        m = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                v = self.entries[self._index(self.n, i, j)]
-                m[i, j] = v
-                m[j, i] = v
-        return m
+        return self.array.copy()
 
     def __getitem__(self, ij) -> float:
-        i, j = ij
-        return float(self.entries[self._index(self.n, i, j)])
+        return float(self.array[ij])
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.to_dense())
+        return np.linalg.eigvalsh(self.array)
 
     def det(self) -> float:
-        return float(np.linalg.det(self.to_dense()))
+        return float(np.linalg.det(self.array))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.to_dense() @ np.asarray(v, dtype=float)
+        return self.array @ np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -99,7 +76,7 @@ class HessianDecomposition:
 
     def reconstruct(self) -> SymMatrix:
         dense = self.a_scale * np.diag(self.diag) + self.beta * np.outer(self.u, self.u)
-        return SymMatrix.from_dense(dense)
+        return SymMatrix(dense)
 
 
 @dataclass(frozen=True)
@@ -115,7 +92,7 @@ def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
     if t.n != w.n:
         raise DimensionMismatch(f"point has n={t.n}, weights have n={w.n}")
     S = float(np.dot(w.alpha, t.coords))
-    return SymMatrix.from_dense(math.cosh(S) * np.outer(w.alpha, w.alpha))
+    return SymMatrix(math.cosh(S) * np.outer(w.alpha, w.alpha))
 
 
 def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -137,7 +114,7 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
     np.fill_diagonal(
         dense, 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (c * c)
     )
-    return SymMatrix.from_dense(dense)
+    return SymMatrix(dense)
 
 
 def decompose(x: ChartPoint, w: WeightVector) -> HessianDecomposition:
@@ -239,8 +216,7 @@ def pullback(
         jac = 1.0 / p.coords
     else:  # target LOG: d(exp t)/dt = exp t
         jac = np.exp(p.coords)
-    dense = m.to_dense() * np.outer(jac, jac)
-    return SymMatrix.from_dense(dense)
+    return SymMatrix(m.array * np.outer(jac, jac))
 
 
 def fd_hessian(
@@ -276,4 +252,4 @@ def fd_hessian(
             )
             dense[i, j] = val
             dense[j, i] = val
-    return SymMatrix.from_dense(dense)
+    return SymMatrix(dense)

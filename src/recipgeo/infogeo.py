@@ -170,4 +170,4 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
         raise DimensionMismatch("point dimension must match the weights")
     S = float(np.dot(w.alpha, t.coords))
     mp = _mean_slope(S)
-    return SymMatrix.from_dense((mp * mp) * np.outer(w.alpha, w.alpha))
+    return SymMatrix((mp * mp) * np.outer(w.alpha, w.alpha))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from recipgeo import SingularContext, lc_christoffel_st, lc_christoffel_xy
 from recipgeo.cli import _json_safe, main
 
 from conftest import assert_close
@@ -90,6 +91,31 @@ class TestHessian:
         assert type(table["rank"]) is int and table["rank"] == 1
         assert table["singular_S"] is None   # |sum(alpha)| = 1: no secondary locus
         assert table["locus_value"] is None  # origin lies on the zero-cost surface
+
+
+class TestChristoffel:
+    """Each printed row against the library: G^k_ij is as_array()[k, i, j]."""
+
+    @pytest.mark.parametrize("chart", ["ratio", "log"])
+    def test_rows_match_library(self, capsys, chart):
+        a, b, p = 0.3, 0.5, (1.2, 0.7)
+        assert main(["christoffel", "--alpha", f"{a},{b}", "--chart", chart, "--point", "1.2,0.7"]) == 0
+        table = kv_table(capsys)
+        if chart == "ratio":
+            gamma = lc_christoffel_xy(a, b, *p).as_array()
+            names = "xy"
+            ctx = SingularContext.from_xy(a, b, *p)
+            assert float(table.pop("Z")) == ctx.Z
+            assert float(table.pop("Delta")) == ctx.Delta
+        else:
+            gamma = lc_christoffel_st(a, b, *p).as_array()
+            names = "st"
+            assert float(table.pop("q")) == a * p[0] + b * p[1]
+        components = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
+        assert len(table) == len(components)
+        for k, i, j in components:
+            assert float(table[f"G^{names[k]}_{names[i]}{names[j]}"]) == gamma[k, i, j]
+        assert len({gamma[c] for c in components}) == len(components)  # a swapped label would show
 
 
 class TestGeodesic:

@@ -60,15 +60,15 @@ class TestChristoffelXY:
             w = WeightVector(np.array([a, b]))
             closed = lc_christoffel_xy(a, b, x, y)
             oracle = christoffel_from_metric(ratio_metric(w), np.array([x, y]))
-            assert_matrix_close(closed.packed, oracle.packed, 1e-6)
+            assert_matrix_close(closed.array, oracle.array, 1e-6)
 
     def test_swap_symmetry(self):
         # swapping a<->b together with x<->y swaps the two equations
         a, b, x, y = 0.7, 0.7, 2.0, 1.3
         g1 = lc_christoffel_xy(a, b, x, y)
         g2 = lc_christoffel_xy(b, a, y, x)
-        assert_close(g1.get(0, 0, 0), g2.get(1, 1, 1), 1e-13)
-        assert_close(g1.get(1, 0, 0), g2.get(0, 1, 1), 1e-13)
+        assert_close(g1.array[0, 0, 0], g2.array[1, 1, 1], 1e-13)
+        assert_close(g1.array[1, 0, 0], g2.array[0, 1, 1], 1e-13)
 
     def test_divergence_near_zero_cost(self):
         a, b = 1 / 3, 1 / 2
@@ -77,7 +77,7 @@ class TestChristoffelXY:
         for eps in (1e-2, 1e-4):
             x = 1.0 + eps
             g = lc_christoffel_xy(a, b, x, 1.0)
-            vals.append(abs(g.get(0, 0, 0)))
+            vals.append(abs(g.array[0, 0, 0]))
         assert vals[1] > 50.0 * vals[0]
 
     def test_guard_raises(self):
@@ -96,7 +96,7 @@ class TestChristoffelST:
         # two (s, t) points with equal q = as + bt
         g1 = lc_christoffel_st(a, b, q / a, 0.0)
         g2 = lc_christoffel_st(a, b, 0.0, q / b)
-        assert np.max(np.abs(g1.packed - g2.packed)) <= 1e-12
+        assert np.max(np.abs(g1.array - g2.array)) <= 1e-12
 
     def test_against_oracle(self, rng):
         for _ in range(25):
@@ -110,13 +110,13 @@ class TestChristoffelST:
             w = WeightVector(np.array([a, b]))
             closed = lc_christoffel_st(a, b, s, t)
             oracle = christoffel_from_metric(log_metric(w), np.array([s, t]))
-            assert_matrix_close(closed.packed, oracle.packed, 1e-6)
+            assert_matrix_close(closed.array, oracle.array, 1e-6)
 
     def test_symmetric_weights_diagonal(self):
         a = b = 0.5
         q = 1.1
         g = lc_christoffel_st(a, b, q / a / 2, q / b / 2)
-        assert_close(g.get(0, 0, 0), g.get(1, 1, 1), 1e-13)
+        assert_close(g.array[0, 0, 0], g.array[1, 1, 1], 1e-13)
 
     def test_guard_near_q_zero(self):
         with pytest.raises(SingularMetric):
@@ -132,9 +132,9 @@ class TestChristoffelOracle:
         # diag(1, x^2): the only nonzero symbols are G^x_yy = -x, G^y_xy = 1/x
         metric = lambda p: np.array([[1.0, 0.0], [0.0, p[0] ** 2]])
         gamma = christoffel_from_metric(metric, np.array([2.0, 0.7]))
-        assert_close(gamma.get(0, 1, 1), -2.0, 1e-9)
-        assert_close(gamma.get(1, 0, 1), 0.5, 1e-9)
-        assert abs(gamma.get(0, 0, 0)) < 1e-10
+        assert_close(gamma.array[0, 1, 1], -2.0, 1e-9)
+        assert_close(gamma.array[1, 0, 1], 0.5, 1e-9)
+        assert abs(gamma.array[0, 0, 0]) < 1e-10
 
     def test_singular_metric_rejected(self):
         with pytest.raises(SingularMetric):
@@ -231,16 +231,16 @@ class TestAffineConnections:
     def test_log_flat_in_ratio_chart(self):
         p = ChartPoint(Chart.RATIO, np.array([2.0, 4.0]))
         gamma = affine_connection(AffineStructure.LOG_FLAT, Chart.RATIO, p)
-        assert_close(gamma.get(0, 0, 0), -0.5, 1e-15)
-        assert_close(gamma.get(1, 1, 1), -0.25, 1e-15)
-        assert gamma.get(0, 0, 1) == 0.0 and gamma.get(1, 0, 0) == 0.0
+        assert_close(gamma.array[0, 0, 0], -0.5, 1e-15)
+        assert_close(gamma.array[1, 1, 1], -0.25, 1e-15)
+        assert gamma.array[0, 0, 1] == 0.0 and gamma.array[1, 0, 0] == 0.0
 
     def test_ratio_flat_in_log_chart(self):
         p = ChartPoint(Chart.LOG, np.array([5.0, -3.0]))
         gamma = affine_connection(AffineStructure.RATIO_FLAT, Chart.LOG, p)
-        assert gamma.get(0, 0, 0) == 1.0
-        assert gamma.get(1, 1, 1) == 1.0
-        assert gamma.get(0, 1, 1) == 0.0
+        assert gamma.array[0, 0, 0] == 1.0
+        assert gamma.array[1, 1, 1] == 1.0
+        assert gamma.array[0, 1, 1] == 0.0
 
     def test_flat_curvature(self, rng):
         for structure, chart in (
@@ -255,7 +255,7 @@ class TestAffineConnections:
         p = ChartPoint(Chart.RATIO, np.array([1.0, 2.0, 4.0]))
         gamma = affine_connection(AffineStructure.LOG_FLAT, Chart.RATIO, p)
         assert gamma.n == 3
-        assert_close(gamma.get(2, 2, 2), -0.25, 1e-15)
+        assert_close(gamma.array[2, 2, 2], -0.25, 1e-15)
 
 
 class TestProjectiveObstruction:

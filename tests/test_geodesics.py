@@ -24,15 +24,18 @@ from recipgeo import (
     radical_basis,
     tangent_constraints,
 )
+from recipgeo import flows, geodesics
 from recipgeo.errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
     InvalidSpan,
+    RecipGeoError,
     ZeroExponent,
     ZeroSum,
 )
+from recipgeo.tolerances import deviation
 
-from conftest import assert_close
+from conftest import assert_close, assert_matrix_close
 
 
 class TestTangentConstraints:
@@ -192,6 +195,57 @@ class TestLcRhs:
             assert np.max(np.abs(got - expected)) / scale <= 1e-8
 
 
+def _row_cases(rng):
+    """name -> (form, rows, singular): `form` maps one point (k,) to (m,)
+    and rows (N, k) to (N, m); `singular` holds the indices of the rows where
+    the one-point call raises."""
+    a, b = 0.7, -0.7
+    x, y = np.exp(rng.uniform(-1.2, 1.2, (2, 200)))
+    keep = np.abs(SingularContext.from_xy(a, b, x, y).Delta) >= 0.05
+    x, y = np.append(x[keep], 1.3), np.append(y[keep], 1.3)  # x = y, a = -b: Z = 1 exactly
+    xy_rows = np.column_stack([x, y, rng.uniform(-2.0, 2.0, (x.size, 2))])
+
+    q = rng.uniform(-1.5, 1.5, 200)
+    q = np.append(q[(np.abs(np.sinh(q)) >= 0.1) & (np.abs(0.5 * np.cosh(q) - np.sinh(q)) >= 0.05)], 0.0)
+    qr_rows = np.column_stack([q, rng.uniform(-2.0, 2.0, (q.size, 2))])
+
+    alpha = np.array([0.6, -0.3, 0.9])
+    n2 = float(alpha @ alpha)
+    t_rows = np.vstack([rng.uniform(-3.0, 3.0, (200, 3)), 400.0 * alpha / n2])  # |S| = 400
+    return {
+        "accel_xy": (lambda r: np.array(geodesics._accel_xy(a, b, *r.T)).T, xy_rows, [len(xy_rows) - 1]),
+        "accel_qr": (lambda r: np.array(geodesics._accel_qr(0.8, -0.3, *r.T)).T, qr_rows, [len(qr_rows) - 1]),
+        "flow_velocity": (lambda r: flows._flow_velocity(r, alpha, -1.0), t_rows, []),
+        "flow_accel": (lambda r: flows._flow_accel(r, alpha, n2), t_rows, []),
+    }
+
+
+class TestRowsMatchPoints:
+    """Each closed form on rows (numpy) against the same form at one point
+    (math): equal to 1e-14, NaN rows where the point call raises, and the
+    same infinities where sinh(2S) overflows."""
+
+    @pytest.mark.parametrize("name", ["accel_xy", "accel_qr", "flow_velocity", "flow_accel"])
+    def test_rows_match_points(self, name, rng):
+        form, rows, singular = _row_cases(rng)[name]
+        assert len(rows) > 150
+        batched = form(rows)
+        assert batched.shape[0] == len(rows)
+        for i, row in enumerate(rows):
+            if i in singular:
+                with pytest.raises(RecipGeoError):
+                    form(row)
+                assert np.all(np.isnan(batched[i]))
+                continue
+            point = form(row)
+            finite = np.isfinite(point)
+            np.testing.assert_array_equal(batched[i][~finite], point[~finite])
+            for got, ref in zip(batched[i][finite], point[finite]):
+                assert deviation(got, ref) <= 1e-14, (name, i, got, ref)
+        if name == "flow_accel":
+            assert np.all(np.isinf(batched[-1]))
+
+
 class TestIntegrateGeodesic:
     def test_zero_velocity_constant(self):
         st = GeodesicState(Chart.RATIO, [2.0, 3.0], [0.0, 0.0], 0.0)
@@ -259,6 +313,7 @@ class TestIntegrateGeodesic:
 
     def test_arrays_and_accelerations(self):
         # one row per sample; each acceleration is the closed-form rhs there
+        # (rows evaluated with numpy, the rhs with math: equal to 1e-14)
         for chart, state, rhs in (
             (Chart.RATIO, ([1.0, 2.0], [-1.0, 3.0]), lc_rhs_xy),
             (Chart.QR, ([0.7, 0.3], [-0.2, 0.4]), lc_rhs_qr),
@@ -271,7 +326,7 @@ class TestIntegrateGeodesic:
                 assert arr.shape == (33, 2)
             np.testing.assert_array_equal(traj.positions[0], state[0])
             for lam, x, v, acc in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations):
-                np.testing.assert_array_equal(acc, rhs(GeodesicState(chart, x, v, lam), 0.8, -0.3))
+                assert_matrix_close(acc, rhs(GeodesicState(chart, x, v, lam), 0.8, -0.3), 1e-14)
 
     def test_qr_chart_symmetric_case(self):
         st = GeodesicState(Chart.QR, [1.0, 0.3], [-0.4, 0.0], 0.0)

@@ -31,15 +31,15 @@ class TestSymMatrix:
         for n in (1, 2, 3, 5):
             dense = rng.normal(size=(n, n))
             dense = dense + dense.T
-            m = SymMatrix.from_dense(dense)
+            m = SymMatrix(dense)
             np.testing.assert_allclose(m.to_dense(), dense, atol=1e-15)
             assert m[0, n - 1] == m[n - 1, 0]
 
     def test_identity_rank(self):
-        assert rank(SymMatrix.from_dense(np.eye(3))) == 3
+        assert rank(SymMatrix(np.eye(3))) == 3
 
     def test_zero_rank(self):
-        assert rank(SymMatrix.from_dense(np.zeros((2, 2)))) == 0
+        assert rank(SymMatrix(np.zeros((2, 2)))) == 0
 
 
 class TestHessianLog:
