@@ -377,7 +377,8 @@ def cmd_locus(args) -> int:
     logs = np.linspace(lo, hi, n)
     xs = np.exp(logs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    ctx = connection.SingularContext.from_xy(a, b, X, Y)
+    # a grid is matched against no point call, so numpy's exp and log do
+    ctx = connection.SingularContext.from_xy(a, b, X, Y, xp=np)
     F_zero, F_sing, F_ricci = connection.z_factors(a, b, ctx.Z)
     ricci = connection.ricci_xy(a, b, ctx.Z)
 

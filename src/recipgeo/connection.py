@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Chart, ChartPoint
+from .core import Chart, ChartPoint, math_for
 from .errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
@@ -92,15 +91,19 @@ def z_factors(a: float, b: float, Z):
 class SingularContext:
     """The squared ratio product Z = R^2 and the Levi-Civita denominator
     Delta = (Z - 1)((a+b-1) Z + (a+b+1)): floats, or arrays with one entry
-    per point.  Array coordinates are not checked for positivity."""
+    per point (each with the bits of its one-point call)."""
 
     Z: float
     Delta: float
 
     @classmethod
-    def from_xy(cls, a: float, b: float, x, y) -> "SingularContext":
-        xp = np if isinstance(x, np.ndarray) else math
-        if xp is math and (x <= 0.0 or y <= 0.0):
+    def from_xy(cls, a: float, b: float, x, y, xp=None) -> "SingularContext":
+        """`xp`: the module for exp and log, by default core.math_for(x)."""
+        xp = xp or math_for(x)
+        if xp is math:
+            if x <= 0.0 or y <= 0.0:
+                raise NonPositiveCoordinate("ratio coordinates must be positive")
+        elif np.any(x <= 0.0) or np.any(y <= 0.0):
             raise NonPositiveCoordinate("ratio coordinates must be positive")
         return cls.from_Z(a, b, xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y))))
 
@@ -213,16 +216,17 @@ def ricci_xy(a: float, b: float, Z):
     is evaluated without those guards: entries on a locus come out huge or
     non-finite, except that a + b = 0 gives exact zeros."""
     zero, sing, curv = z_factors(a, b, Z)
-    xp = np if isinstance(Z, np.ndarray) else math
-    if xp is np:
-        if a + b == 0.0:
-            return np.zeros_like(Z)
-    elif Z <= 0.0:
-        raise NonPositiveCoordinate("Z must be positive")
-    elif abs(zero) < EPS_SINGULAR or abs(sing) < EPS_SINGULAR:
-        raise SingularLocus("Ricci scalar diverges on the degeneracy loci")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if xp is np else nullcontext():
-        return 4.0 * (a + b) * Z * xp.sqrt(Z) * curv / (zero * zero * sing * sing)
+    ricci = lambda sqrt: 4.0 * (a + b) * Z * sqrt(Z) * curv / (zero * zero * sing * sing)
+    if not isinstance(Z, np.ndarray):
+        if Z <= 0.0:
+            raise NonPositiveCoordinate("Z must be positive")
+        if abs(zero) < EPS_SINGULAR or abs(sing) < EPS_SINGULAR:
+            raise SingularLocus("Ricci scalar diverges on the degeneracy loci")
+        return ricci(math.sqrt)
+    if a + b == 0.0:
+        return np.zeros_like(Z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return ricci(np.sqrt)
 
 
 def ricci_q(a: float, b: float, q: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,28 @@ from .errors import (
 
 # exp/cosh overflow past this; S is kept in log space so this is the only wall
 S_MAX = 709.0
+
+
+def entrywise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn at each entry of a float array.  `math` raises on overflow and
+    domain errors, so the floating-point flags it leaves are not warned about."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    def apply(v: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return ufunc(v).astype(float)
+    return apply
+
+
+# exp, log, sinh and cosh of `math`, entrywise: numpy's own round the last bit
+# differently on about a fifth of arguments, which 1/Delta amplifies near the
+# singular set.  Closed forms evaluate rows with these, so that each row has
+# the bits of its one-point call.
+ROW_MATH = SimpleNamespace(**{f: entrywise(getattr(math, f)) for f in ("exp", "log", "sinh", "cosh")})
+
+
+def math_for(v):
+    """`math` for a float, ROW_MATH for an array."""
+    return ROW_MATH if isinstance(v, np.ndarray) else math
 
 
 class Chart(enum.Enum):

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import ode
-from .core import Chart, ChartPoint, WeightVector
+from .core import ROW_MATH, Chart, ChartPoint, WeightVector, entrywise
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
 from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples
 from .hessian import radical_basis
@@ -169,12 +169,12 @@ def _underflow_reason(y: np.ndarray, alpha: np.ndarray, sign: FlowSign) -> Termi
 
 def _alpha_dot(y: np.ndarray, alpha: np.ndarray):
     """S = alpha . y with the module to evaluate functions of it: a float and
-    `math` for one point y (n,), an (N, 1) column and numpy for rows (N, n).
-    The rows take one dot product each, so every S has the bits of the
-    one-point call."""
+    `math` for one point y (n,), an (N, 1) column and core.ROW_MATH for rows
+    (N, n).  The rows take one dot product each, so every S, and every value
+    computed from it, has the bits of the one-point call."""
     if y.ndim == 1:
         return y @ alpha, math
-    return y[:, None, :] @ alpha, np
+    return y[:, None, :] @ alpha, ROW_MATH
 
 
 def _flow_velocity(y: np.ndarray, alpha: np.ndarray, sgn: float) -> np.ndarray:
@@ -183,13 +183,16 @@ def _flow_velocity(y: np.ndarray, alpha: np.ndarray, sgn: float) -> np.ndarray:
     return sgn * xp.sinh(S) * alpha
 
 
+def _sinh_cosh(S: float) -> float:
+    """sinh(S) cosh(S) = sinh(2S) / 2; +-inf where sinh(2S) overflows."""
+    try:
+        return 0.5 * math.sinh(2.0 * S)
+    except OverflowError:
+        return math.copysign(math.inf, S)
+
+
 def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float) -> np.ndarray:
     """d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square),
-    at one point or at rows; +-inf where sinh(2S) overflows."""
+    at one point or at rows."""
     S, xp = _alpha_dot(y, alpha)
-    with np.errstate(over="ignore"):
-        try:
-            val = 0.5 * xp.sinh(2.0 * S)
-        except OverflowError:
-            val = math.copysign(math.inf, S)
-    return n2 * val * alpha
+    return n2 * (_sinh_cosh(S) if xp is math else entrywise(_sinh_cosh)(S)) * alpha

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ode
 from .connection import EPS_SINGULAR, AffineStructure, SingularContext
-from .core import Chart, ChartPoint, log_to_qr
+from .core import Chart, ChartPoint, log_to_qr, math_for
 from .errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
@@ -226,8 +226,9 @@ def affine_trajectory(
 
 def _accel_xy(a: float, b: float, x, y, vx, vy):
     """Geodesic acceleration (x'', y'') in the ratio chart.  Takes floats
-    (evaluated with `math`, raising within EPS_SINGULAR of Delta = 0) or
-    equal-shape arrays (with numpy and no guard: NaN only where Delta = 0)."""
+    (raising within EPS_SINGULAR of Delta = 0) or equal-shape arrays (no
+    guard: NaN only where Delta = 0; each row has the bits of its one-point
+    call)."""
     ctx = SingularContext.from_xy(a, b, x, y)
     Z, Delta = ctx.Z, ctx.Delta
     if isinstance(Delta, np.ndarray):
@@ -260,12 +261,11 @@ def lc_rhs_xy(state: GeodesicState, a: float, b: float) -> np.ndarray:
     return np.array(_accel_xy(a, b, x, y, vx, vy))
 
 
-def _qr_lhs_parts(a: float, b: float, q, qd, rd):
+def _qr_lhs_parts(a: float, b: float, q, qd, rd, xp=math):
     """Split the implicit rotated-chart geodesic equations as
     LHS_q = L q'' + Fq and LHS_r = L r'' + Fr, all coefficients functions
-    of q only.  Takes floats (evaluated with `math`) or equal-shape arrays
-    (with numpy); undefined at q = 0."""
-    xp = np if isinstance(q, np.ndarray) else math
+    of q only.  Takes floats or equal-shape arrays, with `xp` the module
+    for cosh and sinh (math, core.ROW_MATH or numpy); undefined at q = 0."""
     n2 = a * a + b * b
     ch = xp.cosh(q)
     sh = xp.sinh(q)
@@ -290,12 +290,13 @@ def _qr_lhs_parts(a: float, b: float, q, qd, rd):
 def _accel_qr(a: float, b: float, q, qd, rd):
     """Geodesic acceleration (q'', r'') solved from the implicit forms.
     Takes floats (raising within EPS_SINGULAR of q = 0 or L = 0) or
-    equal-shape arrays (no guard: NaN only where q = 0 or L = 0)."""
+    equal-shape arrays (no guard: NaN only where q = 0 or L = 0; each row
+    has the bits of its one-point call)."""
     if isinstance(q, np.ndarray):
         q = np.where(q == 0.0, math.nan, q)
     elif abs(math.sinh(q)) < EPS_SINGULAR:
         raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
-    L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
+    L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd, math_for(q))
     if isinstance(L, np.ndarray):
         L = np.where(L == 0.0, math.nan, L)
     elif abs(L) < EPS_SINGULAR:
@@ -381,16 +382,17 @@ def integrate_geodesic(
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
 
+    # Python floats: the closed forms run faster on them than on numpy scalars
     def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
-        ax, ay = accel(yv)
-        return np.array([yv[2], yv[3], ax, ay])
+        y = yv.tolist()
+        return np.array([y[2], y[3], *accel(y)])
 
     reason0 = guard(a, b, state0.position)
     if reason0 is not None:
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
     y0 = np.concatenate([state0.position, state0.velocity])
-    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, yv: guard(a, b, yv[:2]))
+    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, yv: guard(a, b, yv[:2].tolist()))
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
         lambda y: underflow(a, b, y[:2]),
@@ -425,6 +427,6 @@ def qr_residual(traj: Trajectory, a: float, b: float) -> np.ndarray:
     else:
         raise UnsupportedChartPair("qr_residual expects a ratio- or (q, r)-chart trajectory")
     with np.errstate(divide="ignore", invalid="ignore"):
-        L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd)
+        L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd, np)
         out = np.abs(L * qdd + Fq) + np.abs(L * rdd + Fr)
     return np.where(q == 0.0, math.inf, out)

@@ -178,7 +178,7 @@ def suite_ricci(seed: int = 0) -> SuiteResult:
             continue
         q = float(rng.uniform(0.1, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0))
         try:
-            r1 = connection.ricci_xy(w.a, w.b, connection.SingularContext.from_q(w.a, w.b, q).Z)
+            r1 = connection.ricci_xy(w.a, w.b, math.exp(2.0 * q))
             r2 = connection.ricci_q(w.a, w.b, q)
         except connection.SingularLocus:
             continue

@@ -25,6 +25,7 @@ from recipgeo import (
     tangent_constraints,
 )
 from recipgeo import flows, geodesics
+from recipgeo.connection import EPS_SINGULAR
 from recipgeo.errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
@@ -33,9 +34,8 @@ from recipgeo.errors import (
     ZeroExponent,
     ZeroSum,
 )
-from recipgeo.tolerances import deviation
 
-from conftest import assert_close, assert_matrix_close
+from conftest import assert_close
 
 
 class TestTangentConstraints:
@@ -221,9 +221,9 @@ def _row_cases(rng):
 
 
 class TestRowsMatchPoints:
-    """Each closed form on rows (numpy) against the same form at one point
-    (math): equal to 1e-14, NaN rows where the point call raises, and the
-    same infinities where sinh(2S) overflows."""
+    """Each closed form on rows against the same form at one point: equal
+    bit for bit (so well within a deviation of 1e-14), NaN rows where the
+    point call raises, and the same infinities where sinh(2S) overflows."""
 
     @pytest.mark.parametrize("name", ["accel_xy", "accel_qr", "flow_velocity", "flow_accel"])
     def test_rows_match_points(self, name, rng):
@@ -237,11 +237,7 @@ class TestRowsMatchPoints:
                     form(row)
                 assert np.all(np.isnan(batched[i]))
                 continue
-            point = form(row)
-            finite = np.isfinite(point)
-            np.testing.assert_array_equal(batched[i][~finite], point[~finite])
-            for got, ref in zip(batched[i][finite], point[finite]):
-                assert deviation(got, ref) <= 1e-14, (name, i, got, ref)
+            np.testing.assert_array_equal(batched[i], form(row), err_msg=f"{name} row {i}")
         if name == "flow_accel":
             assert np.all(np.isinf(batched[-1]))
 
@@ -313,7 +309,6 @@ class TestIntegrateGeodesic:
 
     def test_arrays_and_accelerations(self):
         # one row per sample; each acceleration is the closed-form rhs there
-        # (rows evaluated with numpy, the rhs with math: equal to 1e-14)
         for chart, state, rhs in (
             (Chart.RATIO, ([1.0, 2.0], [-1.0, 3.0]), lc_rhs_xy),
             (Chart.QR, ([0.7, 0.3], [-0.2, 0.4]), lc_rhs_qr),
@@ -326,7 +321,28 @@ class TestIntegrateGeodesic:
                 assert arr.shape == (33, 2)
             np.testing.assert_array_equal(traj.positions[0], state[0])
             for lam, x, v, acc in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations):
-                assert_matrix_close(acc, rhs(GeodesicState(chart, x, v, lam), 0.8, -0.3), 1e-14)
+                np.testing.assert_array_equal(acc, rhs(GeodesicState(chart, x, v, lam), 0.8, -0.3))
+
+    @pytest.mark.parametrize("a, b, state, span", [
+        (1 / 3, 1 / 2, ([4.0, 2.0], [-1.0, 1.0]), (0.0, 8.0)),
+        (0.8, -0.8, ([2.0, 1.0], [0.7071, 0.7071]), (0.0, 4.0)),
+    ])
+    def test_accelerations_up_to_singular_end(self, a, b, state, span):
+        # runs that stop on Delta = 0, where 1/Delta amplifies the last bit
+        # of Z: each sampled acceleration is still the rhs at its row, bit
+        # for bit, wherever the rhs is defined (|Delta| >= EPS_SINGULAR)
+        traj = integrate_geodesic(GeodesicState(Chart.RATIO, *state, span[0]), a, b, span)
+        assert traj.termination is not TerminationReason.SPAN_COMPLETE
+        delta = SingularContext.from_xy(a, b, *traj.positions.T).Delta
+        assert np.min(np.abs(delta)) < 1e-6
+        checked = 0
+        for lam, x, v, acc, d in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations, delta):
+            if abs(d) >= EPS_SINGULAR:
+                np.testing.assert_array_equal(acc, lc_rhs_xy(GeodesicState(Chart.RATIO, x, v, lam), a, b))
+                checked += 1
+            else:
+                assert np.all(np.isfinite(acc))
+        assert checked >= len(traj.lambdas) - 2
 
     def test_qr_chart_symmetric_case(self):
         st = GeodesicState(Chart.QR, [1.0, 0.3], [-0.4, 0.0], 0.0)
