@@ -259,7 +259,7 @@ def _geodesic_rows(traj, a: float, b: float):
         xy = np.exp(core.qr_to_log(qr, a, b))
         vxy = core.qr_to_log(traj.velocities, a, b) * xy  # chain rule back to the ratio chart
     delta = connection.SingularContext.from_xy(a, b, xy[:, 0], xy[:, 1]).Delta
-    J = [core.cost_ratio(ChartPoint(Chart.RATIO, p), w).J for p in xy]
+    J = core.cost_ratio_rows(xy, w)
     return np.column_stack([traj.lambdas, xy, vxy, qr, J, delta, residuals]).tolist()
 
 
@@ -293,10 +293,8 @@ def cmd_geodesic(args) -> int:
         start = ChartPoint(chart0, state[: w.n])
         traj = geodesics.affine_trajectory(structure, start, state[w.n:], span, num=args.samples)
         columns = ["lambda"] + [f"x{i+1}" for i in range(w.n)] + [f"v{i+1}" for i in range(w.n)] + ["J"]
-        rows = []
-        for lam, pos, vel in zip(traj.lambdas, traj.positions, traj.velocities):
-            J = core.cost_ratio(ChartPoint(Chart.RATIO, pos), w).J
-            rows.append([lam, *pos, *vel, J])
+        J = core.cost_ratio_rows(traj.positions, w)
+        rows = np.column_stack([traj.lambdas, traj.positions, traj.velocities, J]).tolist()
     meta = {
         "alpha": list(map(float, w.alpha)),
         "termination": traj.termination.value,

@@ -158,10 +158,23 @@ def _check_dims(p: ChartPoint, w: WeightVector) -> None:
         raise DimensionMismatch(f"point has n={p.n}, weights have n={w.n}")
 
 
+def _cost_from_S(S):
+    """The cost J = cosh S - 1 at a float S (with `math`), or at each entry
+    of an array S with the bits of its float call (with ROW_MATH).
+    Raises Overflow past S_MAX, naming the first such entry."""
+    if isinstance(S, np.ndarray):
+        over = S[np.abs(S) > S_MAX]
+        first, xp = (over[0] if over.size else 0.0), ROW_MATH
+    else:
+        first, xp = S, math
+    if abs(first) > S_MAX:
+        raise Overflow(f"|S| = {abs(first):g} exceeds the double-precision range of exp/cosh")
+    return xp.cosh(S) - 1.0
+
+
 def _summary_from_S(S: float, G: Optional[float]) -> ScalarSummary:
-    if abs(S) > S_MAX:
-        raise Overflow(f"|S| = {abs(S):g} exceeds the double-precision range of exp/cosh")
-    return ScalarSummary(R=math.exp(S), S=S, J=math.cosh(S) - 1.0, G=G)
+    J = _cost_from_S(S)
+    return ScalarSummary(R=math.exp(S), S=S, J=J, G=G)
 
 
 def cost_log(t: ChartPoint, w: WeightVector) -> ScalarSummary:
@@ -181,6 +194,17 @@ def cost_ratio(x: ChartPoint, w: WeightVector) -> ScalarSummary:
     S = float(np.dot(w.alpha, logs))
     G = math.exp(float(np.mean(logs))) if w.is_canonical() else None
     return _summary_from_S(S, G)
+
+
+def cost_ratio_rows(x: np.ndarray, w: WeightVector) -> np.ndarray:
+    """`cost_ratio(ChartPoint(Chart.RATIO, row), w).J` at each row of an
+    (N, n) array of ratio coordinates, with the same bits: S takes one dot
+    product per row."""
+    if x.ndim != 2 or x.shape[1] != w.n:
+        raise DimensionMismatch(f"rows have n={x.shape[-1]}, weights have n={w.n}")
+    if not np.all(x > 0.0):
+        raise NonPositiveCoordinate("ratio coordinates must be positive")
+    return _cost_from_S((np.log(x)[:, None, :] @ w.alpha)[:, 0])
 
 
 def cost(p: ChartPoint, w: WeightVector) -> ScalarSummary:

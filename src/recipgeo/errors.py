@@ -95,9 +95,12 @@ class RhsEvaluationFailure(RecipGeoError):
     """Wraps a failure inside a right-hand-side evaluation.
 
     Carries the parameter value at which the evaluation failed so
-    integrators can report or retreat from the offending step.
+    integrators can report or retreat from the offending step, and the index
+    of the Runge-Kutta stage that failed (0 for the first), from which the
+    driver counts the evaluations the step made.
     """
 
-    def __init__(self, param: float, message: str = ""):
+    def __init__(self, param: float, message: str = "", stage: int = 0):
         self.param = param
+        self.stage = stage
         super().__init__(message or f"rhs evaluation failed at parameter {param!r}")

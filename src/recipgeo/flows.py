@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -133,10 +133,10 @@ def integrate_flow(
     n2 = w.norm_sq
     sgn = sign.value
 
-    def rhs(_tau: float, y: np.ndarray) -> np.ndarray:
+    def rhs(_tau: float, y: List[float]) -> List[float]:
         return _flow_velocity(y, alpha, sgn)
 
-    def stop(_tau: float, y: np.ndarray) -> Optional[TerminationReason]:
+    def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
         S = float(np.dot(alpha, y))
         if sign is FlowSign.DESCENT and abs(S) < CONVERGED_S:
             return TerminationReason.CONVERGED
@@ -167,20 +167,23 @@ def _underflow_reason(y: np.ndarray, alpha: np.ndarray, sign: FlowSign) -> Termi
     return TerminationReason.STEP_UNDERFLOW
 
 
-def _alpha_dot(y: np.ndarray, alpha: np.ndarray):
+def _alpha_dot(y, alpha: np.ndarray):
     """S = alpha . y with the module to evaluate functions of it: a float and
-    `math` for one point y (n,), an (N, 1) column and core.ROW_MATH for rows
-    (N, n).  The rows take one dot product each, so every S, and every value
-    computed from it, has the bits of the one-point call."""
-    if y.ndim == 1:
-        return y @ alpha, math
-    return y[:, None, :] @ alpha, ROW_MATH
+    `math` for one point y (a sequence of n floats), an (N, 1) column and
+    core.ROW_MATH for rows (N, n).  The rows take one dot product each, so
+    every S, and every value computed from it, has the bits of the one-point
+    call."""
+    if isinstance(y, np.ndarray) and y.ndim == 2:
+        return y[:, None, :] @ alpha, ROW_MATH
+    return np.dot(alpha, y), math
 
 
-def _flow_velocity(y: np.ndarray, alpha: np.ndarray, sgn: float) -> np.ndarray:
-    """dt/dtau = +-alpha sinh(S), at one point or at rows (see _alpha_dot)."""
+def _flow_velocity(y, alpha: np.ndarray, sgn: float):
+    """dt/dtau = +-alpha sinh(S): a list of floats at one point (the
+    integrator's rhs), an (N, n) array at rows (see _alpha_dot)."""
     S, xp = _alpha_dot(y, alpha)
-    return sgn * xp.sinh(S) * alpha
+    c = sgn * xp.sinh(S)
+    return [c * a for a in alpha.tolist()] if xp is math else c * alpha
 
 
 def _sinh_cosh(S: float) -> float:

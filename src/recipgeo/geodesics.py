@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,9 @@ class Trajectory:
     """A sampled trajectory in `chart`, one row per sample: parameters
     `lambdas` (N,) and the (N, n) arrays `positions`, `velocities` and
     `accelerations`.  An acceleration row is NaN where its closed form is
-    undefined at that sample."""
+    undefined at that sample.  An integrated trajectory also records its
+    accepted and rejected steps, its rhs evaluations `nfev` and the range
+    [h_min, h_max] of its accepted step sizes (NaN when not integrated)."""
 
     chart: Chart
     lambdas: np.ndarray
@@ -79,6 +81,9 @@ class Trajectory:
     termination: TerminationReason
     accepted: int = 0
     rejected: int = 0
+    nfev: int = 0
+    h_min: float = math.nan
+    h_max: float = math.nan
 
     @property
     def samples(self) -> List[GeodesicState]:
@@ -109,7 +114,7 @@ class Trajectory:
         lambdas = np.linspace(lam0, lam_end, samples) if lam_end != lam0 else np.array([lam0])
         positions, velocities, accelerations = split(ode.dense_sample(sol, lambdas))
         return cls(chart, lambdas, positions, velocities, accelerations, termination,
-                   sol.accepted, sol.rejected)
+                   sol.accepted, sol.rejected, sol.nfev, sol.h_min, sol.h_max)
 
 
 def _require_samples(samples: int) -> None:
@@ -315,7 +320,7 @@ def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
 
 # -- adaptive integration ----------------------------------------------------
 
-def _guard_xy(a: float, b: float, pos: np.ndarray) -> Optional[TerminationReason]:
+def _guard_xy(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
     if pos[0] <= DELTA_DOMAIN or pos[1] <= DELTA_DOMAIN:
         return TerminationReason.DOMAIN_BOUNDARY
     if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < EPS_SINGULAR:
@@ -323,7 +328,7 @@ def _guard_xy(a: float, b: float, pos: np.ndarray) -> Optional[TerminationReason
     return None
 
 
-def _guard_qr(a: float, b: float, pos: np.ndarray) -> Optional[TerminationReason]:
+def _guard_qr(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
     q = pos[0]
     sh = math.sinh(q)
     if abs(sh) < EPS_SINGULAR or abs((a + b) * math.cosh(q) - sh) < EPS_SINGULAR:
@@ -382,17 +387,15 @@ def integrate_geodesic(
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
 
-    # Python floats: the closed forms run faster on them than on numpy scalars
-    def rhs(_lam: float, yv: np.ndarray) -> np.ndarray:
-        y = yv.tolist()
-        return np.array([y[2], y[3], *accel(y)])
+    def rhs(_lam: float, y: List[float]) -> List[float]:
+        return [y[2], y[3], *accel(y)]
 
     reason0 = guard(a, b, state0.position)
     if reason0 is not None:
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
     y0 = np.concatenate([state0.position, state0.velocity])
-    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, yv: guard(a, b, yv[:2].tolist()))
+    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, y: guard(a, b, y))
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
         lambda y: underflow(a, b, y[:2]),

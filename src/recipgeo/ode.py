@@ -4,12 +4,23 @@ Dormand-Prince coefficients are written out as rational constants so runs
 are bit-reproducible.  The driver supports both span directions, retreats
 from failed right-hand-side evaluations by shrinking the step, and checks a
 caller-supplied stop predicate at accepted steps only.
+
+The rhs `rhs(t, y)` and the predicate `stop(t, y)` receive the state as a
+list of Python floats, and the rhs returns a sequence of floats.  A trial
+step runs on Python floats, because on states of a few components one numpy
+call costs more than its arithmetic.  Each weighted sum of stage derivatives
+is one expression per component, written in stage order from 0.0 with the
+zero weights kept: y_i + h*(0.0 + a_s1*k1_i + a_s2*k2_i + ...).  Every term
+is one IEEE multiply and one add, so the sums have the bits of an in-order
+product-and-reduce over the stages, and a NaN or infinity in any stage
+reaches y5 and rejects the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,15 +38,16 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+# order-5 weights
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the local truncation error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# The same weights as column vectors: a weighted sum of stage derivatives is
-# then one product and one reduction over the stage axis, which adds the
-# terms in stage order from 0.0 exactly as a term-by-term sum would.
-_A_COLS = tuple(np.array(row).reshape(-1, 1) for row in _A)
-_B5_COL = np.array(_B5).reshape(-1, 1)
-_E_COL = np.array(_E).reshape(-1, 1)
+# The same tableau by entry, with stages k1..k7 as in Hairer, Norsett &
+# Wanner, for the sums that step() writes out.
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) = _A[1:]
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 # Quartic continuous extension of the order-5 solution (Shampine 1986; Hairer,
 # Norsett & Wanner, Solving ODEs I, sec. II.6): within an accepted step,
 #   y(t + theta h) = y + h * (K^T @ _P) @ (theta, theta^2, theta^3, theta^4),
@@ -55,7 +67,7 @@ _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROW_LIMIT = 5.0
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+Rhs = Callable[[float, List[float]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -99,62 +111,55 @@ class StepResult:
 _RHS_FAILURES = (RecipGeoError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-def _weighted(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.add.reduce(weights * k[: len(weights)], axis=0, initial=0.0)
-
-
-def _stages(rhs: Rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    """The seven stage derivatives of one step, as rows of a (7, n) array."""
-    k = np.empty((7,) + y.shape)
-    k[0] = k1
-    for s in range(1, 7):
-        ts = t + _C[s] * h
-        ys = y + h * _weighted(_A_COLS[s], k)
-        try:
-            k[s] = np.asarray(rhs(ts, ys), dtype=float)
-        except _RHS_FAILURES as exc:
-            raise RhsEvaluationFailure(ts, str(exc)) from exc
-    return k
-
-
-def _advance(rhs: Rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    """Raw order-5 update: returns (y5, stage derivatives, error vector).
-
-    The last stage sits at t + h with the propagation weights, so k[6] is the
-    derivative at the new point (FSAL)."""
-    k = _stages(rhs, t, y, h, k1)
-    y5 = y + h * _weighted(_B5_COL, k)
-    err_vec = h * _weighted(_E_COL, k)
-    return y5, k, err_vec
+def _retreat(h: float, cfg: IntegratorConfig) -> StepResult:
+    """The rejection of a step with no usable error estimate (a non-finite
+    or failed stage): the next try is 0.2 |h|."""
+    return StepResult(False, math.inf, max(cfg.min_step, abs(h) * _SHRINK_LIMIT))
 
 
 def step(
     rhs: Rhs,
-    y: np.ndarray,
+    y: List[float],
     t: float,
     h: float,
     cfg: IntegratorConfig,
-    k1: Optional[np.ndarray] = None,
-) -> Tuple[StepResult, np.ndarray, np.ndarray]:
+    k1: Optional[Sequence[float]] = None,
+) -> Tuple[StepResult, List[float], List[Sequence[float]]]:
     """One embedded trial step from (t, y) with signed step h.
 
-    Returns the step result plus the order-5 solution at t + h and the (7, n)
-    stage derivatives, whose last row is the derivative at t + h (both
-    meaningful only when accepted).  The scaled error norm is the max
-    component of |y5 - y4| / (abs_tol + rel_tol |y5|).
+    Returns the step result plus the order-5 solution at t + h and the seven
+    stage derivatives k1..k7, whose last is the derivative at t + h (FSAL;
+    both meaningful only when accepted).  The scaled error norm is the max
+    component of |y5 - y4| / (abs_tol + rel_tol |y5|).  A step whose y5 or
+    error is not finite is rejected with next step max(min_step, 0.2 |h|).
     """
     if k1 is None:
         try:
-            k1 = np.asarray(rhs(t, y), dtype=float)
+            k1 = rhs(t, y)
         except _RHS_FAILURES as exc:
             raise RhsEvaluationFailure(t, str(exc)) from exc
-    y5, k, err_vec = _advance(rhs, t, y, h, k1)
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y5)
-    with np.errstate(invalid="ignore"):
-        err = float(np.max(np.abs(err_vec) / scale)) if y.size else 0.0
-    if not np.all(np.isfinite(y5)) or not math.isfinite(err):
-        bad_h = max(cfg.min_step, abs(h) * _SHRINK_LIMIT)
-        return StepResult(False, math.inf, bad_h), y5, k
+    k = [k1]
+    try:
+        k.append(rhs(t + _C[1] * h, [yi + h * (0.0 + _A21 * a) for yi, a in zip(y, *k)]))
+        k.append(rhs(t + _C[2] * h, [yi + h * (0.0 + _A31 * a + _A32 * b) for yi, a, b in zip(y, *k)]))
+        k.append(rhs(t + _C[3] * h, [yi + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+                                     for yi, a, b, c in zip(y, *k)]))
+        k.append(rhs(t + _C[4] * h, [yi + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                     for yi, a, b, c, d in zip(y, *k)]))
+        k.append(rhs(t + _C[5] * h, [yi + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                                     for yi, a, b, c, d, e in zip(y, *k)]))
+        k.append(rhs(t + _C[6] * h, [yi + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e
+                                                + _A76 * f) for yi, a, b, c, d, e, f in zip(y, *k)]))
+    except _RHS_FAILURES as exc:
+        raise RhsEvaluationFailure(t + _C[len(k)] * h, str(exc), len(k)) from exc
+    y5 = [yi + h * (0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * f + _B7 * g)
+          for yi, a, b, c, d, e, f, g in zip(y, *k)]
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    ratios = [abs(h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g))
+              / (atol + rtol * abs(v)) for v, a, b, c, d, e, f, g in zip(y5, *k)]
+    err = max(ratios, default=0.0)  # NaN only if y5 is not finite
+    if not (all(map(math.isfinite, y5)) and math.isfinite(err)):
+        return _retreat(h, cfg), y5, k
     if err == 0.0:
         factor = _GROW_LIMIT
     else:
@@ -167,17 +172,22 @@ def step(
 class RawSolution:
     """Accepted steps plus bookkeeping.
 
-    `ts`/`ys` hold the initial and every accepted (param, state); `qs[i]` is
-    the (n, 4) dense-output matrix K^T @ _P of the step from ts[i] to ts[i+1].
+    `ts` holds the initial and every accepted param, `ys` the (N, n) states
+    there; `qs[i]` is the (n, 4) dense-output matrix K^T @ _P of the step
+    from ts[i] to ts[i+1].  `nfev` counts rhs evaluations; `h_min`/`h_max`
+    bound the accepted step sizes (NaN if no step was accepted).
     """
 
-    ts: List[float] = field(default_factory=list)
-    ys: List[np.ndarray] = field(default_factory=list)
-    qs: List[np.ndarray] = field(default_factory=list)
-    accepted: int = 0
-    rejected: int = 0
-    status: str = "span"  # span | underflow | maxsteps | stopped
-    stop_reason: Optional[object] = None
+    ts: List[float]
+    ys: np.ndarray
+    qs: np.ndarray
+    accepted: int
+    rejected: int
+    status: str  # span | underflow | maxsteps | stopped
+    stop_reason: Optional[object]
+    nfev: int
+    h_min: float
+    h_max: float
 
     @property
     def t_end(self) -> float:
@@ -189,14 +199,15 @@ def integrate(
     y0: np.ndarray,
     span: Tuple[float, float],
     cfg: Optional[IntegratorConfig] = None,
-    stop: Optional[Callable[[float, np.ndarray], Optional[object]]] = None,
+    stop: Optional[Callable[[float, List[float]], Optional[object]]] = None,
 ) -> RawSolution:
     """Drive the embedded pair across the span (either direction).
 
     The stop predicate is evaluated at the initial state and after every
     accepted step; a non-None value halts with status "stopped".  A failed
-    right-hand-side evaluation inside a trial step rejects it and shrinks
-    the step until it either clears the bad region or underflows.
+    right-hand-side evaluation inside a trial step rejects it like a
+    non-finite one, shrinking the step until it either clears the bad region
+    or underflows.
     """
     t0, t1 = float(span[0]), float(span[1])
     if t1 == t0:
@@ -206,62 +217,60 @@ def integrate(
     if cfg is None:
         cfg = IntegratorConfig.for_span(length)
 
-    sol = RawSolution()
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     t = t0
     try:
-        f = np.asarray(rhs(t, y), dtype=float)
+        f = rhs(t, y)
     except _RHS_FAILURES as exc:
         raise RhsEvaluationFailure(t, str(exc)) from exc
-    sol.ts.append(t)
-    sol.ys.append(y.copy())
-    if stop is not None:
-        reason = stop(t, y)
-        if reason is not None:
-            sol.status = "stopped"
-            sol.stop_reason = reason
-            return sol
-
+    ts, ys, ks = [t], [y], []
+    accepted = rejected = 0
+    nfev, h_min, h_max = 1, math.inf, 0.0
+    status = "span"
+    reason = None if stop is None else stop(t, y)
     h = cfg.initial_step
-    while (t - t1) * direction < 0.0:
-        if sol.accepted + sol.rejected >= cfg.max_steps:
-            sol.status = "maxsteps"
-            return sol
+    while reason is None and (t - t1) * direction < 0.0:
+        if accepted + rejected >= cfg.max_steps:
+            status = "maxsteps"
+            break
         remaining = abs(t1 - t)
         if remaining <= 1e-15 * max(abs(t), abs(t1)):
             break  # span resolved to machine precision
         h_try = min(h, remaining)
         try:
             result, y_new, k = step(rhs, y, t, direction * h_try, cfg, k1=f)
-        except RhsEvaluationFailure:
-            sol.rejected += 1
-            if h_try <= cfg.min_step * (1.0 + 1e-12):
-                sol.status = "underflow"
-                return sol
-            h = max(cfg.min_step, h_try * _SHRINK_LIMIT)
-            continue
+            nfev += 6
+        except RhsEvaluationFailure as exc:
+            nfev += exc.stage
+            result = _retreat(h_try, cfg)
         if not result.accepted:
-            sol.rejected += 1
+            rejected += 1
             if h_try <= cfg.min_step * (1.0 + 1e-12):
-                sol.status = "underflow"
-                return sol
+                status = "underflow"
+                break
             h = result.next_step
             continue
         t = t + direction * h_try
-        y = y_new
-        f = k[6]
-        sol.accepted += 1
-        sol.ts.append(t)
-        sol.ys.append(y.copy())
-        sol.qs.append(k.T @ _P)
+        y, f = y_new, k[6]
+        ts.append(t)
+        ys.append(y)
+        ks.append(k)
+        accepted += 1
+        h_min, h_max = min(h_min, h_try), max(h_max, h_try)
         if stop is not None:
             reason = stop(t, y)
-            if reason is not None:
-                sol.status = "stopped"
-                sol.stop_reason = reason
-                return sol
         h = result.next_step
-    return sol
+    if reason is not None:
+        status = "stopped"
+    # (M, 7, n) stage derivatives -> (M, n, 4) dense-output matrices; a flat
+    # iterator fills the array faster than numpy reads nested lists
+    flat = chain.from_iterable(chain.from_iterable(ks))
+    stages = np.fromiter(flat, dtype=float, count=7 * len(y) * len(ks)).reshape(len(ks), 7, len(y))
+    return RawSolution(
+        ts=ts, ys=np.array(ys, dtype=float), qs=stages.transpose(0, 2, 1) @ _P,
+        accepted=accepted, rejected=rejected, status=status, stop_reason=reason, nfev=nfev,
+        h_min=h_min if accepted else math.nan, h_max=h_max if accepted else math.nan,
+    )
 
 
 def dense_sample(sol: RawSolution, queries: Sequence[float]) -> np.ndarray:
@@ -272,8 +281,7 @@ def dense_sample(sol: RawSolution, queries: Sequence[float]) -> np.ndarray:
     stored states exactly."""
     if not sol.ts:
         raise OutOfSpan("empty solution")
-    ts = np.asarray(sol.ts)
-    ys = np.asarray(sol.ys)
+    ts, ys = np.asarray(sol.ts), sol.ys
     q = np.asarray(queries, dtype=float).reshape(-1)
     ascending = ts[-1] >= ts[0]
     lo, hi = (ts[0], ts[-1]) if ascending else (ts[-1], ts[0])
@@ -294,7 +302,7 @@ def dense_sample(sol: RawSolution, queries: Sequence[float]) -> np.ndarray:
     theta = (q - left) / h
     powers = np.stack([theta, theta * theta, theta**3, theta**4], axis=-1)
     start = ys[idx]
-    out = start + h[:, None] * (np.asarray(sol.qs)[idx] @ powers[:, :, None])[:, :, 0]
+    out = start + h[:, None] * (sol.qs[idx] @ powers[:, :, None])[:, :, 0]
     at_left, at_right = q == left, q == right
     out[at_left] = start[at_left]
     out[at_right] = ys[idx[at_right] + 1]

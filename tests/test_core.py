@@ -21,9 +21,11 @@ from recipgeo import (
     sample_log_points,
     transform,
 )
+from recipgeo.core import cost_ratio_rows
 from recipgeo.errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
+    Overflow,
     UnsupportedChartPair,
     ZeroArgument,
     ZeroWeightVector,
@@ -154,6 +156,37 @@ class TestCost:
             x = ChartPoint(Chart.RATIO, np.exp(row))
             t = transform(x, Chart.LOG, w)
             assert_close(cost_log(t, w).J, cost_ratio(x, w).J, 1e-12)
+
+
+class TestCostRows:
+    """The row form of the ratio-chart cost against one cost_ratio call per
+    row: equal bit for bit, and the same errors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_rows_match_points(self, n, rng):
+        w = WeightVector(rng.uniform(-2.0, 2.0, n))
+        x = np.exp(rng.uniform(-40.0, 40.0, (300, n)) * rng.uniform(0.0, 1.0, (300, 1)))
+        rows = cost_ratio_rows(x, w)
+        points = np.array([cost_ratio(ChartPoint(Chart.RATIO, row), w).J for row in x])
+        assert rows.shape == (300,)
+        np.testing.assert_array_equal(rows.view(np.int64), points.view(np.int64))
+
+    def test_overflow_names_first_row_past_limit(self):
+        w = WeightVector(np.array([1.0, 1.0]))
+        x = np.exp(np.array([[1.0, 2.0], [360.0, 360.0], [400.0, 400.0]]))
+        with pytest.raises(Overflow) as rows_exc:
+            cost_ratio_rows(x, w)
+        with pytest.raises(Overflow) as point_exc:
+            cost_ratio(ChartPoint(Chart.RATIO, x[1]), w)
+        assert str(rows_exc.value) == str(point_exc.value)
+        assert cost_ratio_rows(x[:1], w)[0] == cost_ratio(ChartPoint(Chart.RATIO, x[0]), w).J
+
+    def test_rejects_bad_rows(self):
+        w = WeightVector(np.array([0.5, 0.5]))
+        with pytest.raises(NonPositiveCoordinate):
+            cost_ratio_rows(np.array([[1.0, 2.0], [0.0, 1.0]]), w)
+        with pytest.raises(DimensionMismatch):
+            cost_ratio_rows(np.ones((4, 3)), w)
 
 
 class TestTransform:

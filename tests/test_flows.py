@@ -173,6 +173,19 @@ class TestIntegrateFlow:
         halt = traj.lambdas[-1]
         assert abs(halt - tau_star) / tau_star <= 1e-3
 
+    def test_run_counts(self):
+        # the trajectory carries the integrator's counts; no rhs call of a
+        # descent fails, so each trial step costs six evaluations
+        w = WeightVector(np.array([0.8, 0.3]))
+        traj = integrate_flow(np.array([1.5, -0.4]), w, FlowSign.DESCENT, (0.0, 6.0), samples=16)
+        assert traj.accepted > 0
+        assert traj.nfev == 1 + 6 * (traj.accepted + traj.rejected)
+        assert 6e-14 <= traj.h_min < traj.h_max <= 0.6
+        start = integrate_flow(np.array([2.0, 2.0]), WeightVector(np.array([0.5, -0.5])),
+                               FlowSign.DESCENT, (0.0, 4.0))
+        assert (start.nfev, start.accepted) == (0, 0)
+        assert math.isnan(start.h_min) and math.isnan(start.h_max)
+
     def test_too_few_samples(self):
         w = WeightVector(np.array([0.5, 0.5]))
         for samples in (1, 0, -3):

@@ -11,6 +11,182 @@ def exp_rhs(t, y):
     return y
 
 
+def bits(values) -> np.ndarray:
+    """The IEEE bit patterns of a float array (tells -0.0 from 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def reference_step(rhs, y, t, h, cfg, k1):
+    """The trial step as numpy evaluates it: each weighted sum of stages is
+    one product and one reduction over the stage axis from 0.0, which adds
+    the terms in stage order."""
+    def weighted(weights, k):
+        col = np.array(weights).reshape(-1, 1)
+        return np.add.reduce(col * k[: len(weights)], axis=0, initial=0.0)
+
+    y = np.asarray(y, dtype=float)
+    k = np.empty((7, y.size))
+    k[0] = k1
+    for s in range(1, 7):
+        ys = y + h * weighted(ode._A[s], k)
+        k[s] = rhs(t + ode._C[s] * h, ys.tolist())
+    y5 = y + h * weighted(ode._B, k)
+    err_vec = h * weighted(ode._E, k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = float(np.max(np.abs(err_vec) / (cfg.abs_tol + cfg.rel_tol * np.abs(y5))))
+    if not np.all(np.isfinite(y5)) or not math.isfinite(err):
+        return ode.StepResult(False, math.inf, max(cfg.min_step, abs(h) * 0.2)), y5, k
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
+    return ode.StepResult(err <= 1.0, err, min(cfg.max_step, max(cfg.min_step, abs(h) * factor))), y5, k
+
+
+def coupled_rhs(t, y):
+    """A nonlinear rhs on floats that couples every component to the next.
+    Every third component is a multiple of itself, so a signed zero there
+    stays a signed zero through all stages."""
+    n = len(y)
+    return [math.sin(y[(i + 1) % n] + t) * y[i] - (0.0 if i % 3 == 2 else 0.3 * y[i] * y[i] - math.cos(t + i))
+            for i in range(n)]
+
+
+class TestStepBits:
+    """ode.step on Python floats against the numpy reference step, bit for
+    bit: every stage, y5, the error and the next step size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_matches_numpy_reference(self, n, direction, rng):
+        cfg = ode.IntegratorConfig.for_span(2.0, tol=1e-9)
+        outcomes = set()
+        for trial in range(40):
+            y = rng.uniform(-2.0, 2.0, n)
+            y[rng.uniform(size=n) < 0.3] = -0.0
+            t = float(rng.uniform(-1.0, 1.0))
+            h = direction * float(10.0 ** rng.uniform(-4.0, 0.0))
+            k1 = coupled_rhs(t, y.tolist())
+            got, y5, k = ode.step(coupled_rhs, y.tolist(), t, h, cfg, k1=k1)
+            want, y5_ref, k_ref = reference_step(coupled_rhs, y, t, h, cfg, k1)
+            assert isinstance(y5, list) and len(k) == 7
+            np.testing.assert_array_equal(bits(y5), bits(y5_ref))
+            np.testing.assert_array_equal(bits(k), bits(k_ref))
+            assert bits(got.error_estimate) == bits(want.error_estimate)
+            assert bits(got.next_step) == bits(want.next_step)
+            assert got.accepted == want.accepted
+            outcomes.add(got.accepted)
+        assert outcomes == {True, False}
+
+
+def failing_at_call(call: int, value):
+    """An rhs returning dy/dt = -y, except that its call number `call`
+    (counting from 1) returns `value` in its last component, or raises it if
+    it is an exception."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        if calls[0] == call:
+            if isinstance(value, Exception):
+                raise value
+            return [-v for v in y[:-1]] + [value]
+        return [-v for v in y]
+
+    return rhs
+
+
+class TestNonFiniteStages:
+    """A NaN or an infinity from any inner stage rejects the step and cuts
+    it to 0.2 |h|; a raising stage is reported with its parameter."""
+
+    @pytest.mark.parametrize("stage", range(1, 7))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("h", [0.05, -0.05])
+    def test_rejected_with_shrunk_step(self, stage, value, h):
+        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
+        y = [1.0, -0.5, 2.0]
+        result, _, _ = ode.step(failing_at_call(stage, value), y, 0.0, h, cfg, k1=[-v for v in y])
+        assert not result.accepted
+        assert result.error_estimate == math.inf
+        assert result.next_step == max(cfg.min_step, 0.2 * abs(h))
+
+    @pytest.mark.parametrize("stage", range(1, 7))
+    def test_raising_stage(self, stage):
+        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
+        h = -0.05
+        with pytest.raises(RhsEvaluationFailure) as exc:
+            ode.step(failing_at_call(stage, OverflowError("boom")), [1.0], 0.25, h, cfg, k1=[-1.0])
+        assert exc.value.stage == stage
+        assert exc.value.param == 0.25 + ode._C[stage] * h
+        assert isinstance(exc.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, OverflowError("boom")])
+    def test_driver_recovers(self, value):
+        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
+        clean = ode.integrate(failing_at_call(0, value), np.array([1.0, 2.0]), (0.0, 1.0), cfg)  # no call 0
+        sol = ode.integrate(failing_at_call(40, value), np.array([1.0, 2.0]), (0.0, 1.0), cfg)
+        assert sol.status == "span" and sol.t_end == 1.0
+        assert sol.rejected == clean.rejected + 1
+        np.testing.assert_allclose(sol.ys[-1], np.exp(-1.0) * np.array([1.0, 2.0]), rtol=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, ZeroDivisionError("wall")])
+    def test_driver_underflows_at_a_wall(self, value):
+        # every stage past t = 0.5 fails: the steps shrink onto the wall and
+        # the run ends by underflow just short of it, in a bounded number of steps
+        def rhs(t, y):
+            if t > 0.5:
+                if isinstance(value, Exception):
+                    raise value
+                return [value] * len(y)
+            return [1.0] * len(y)
+
+        cfg = ode.IntegratorConfig(max_steps=20_000)
+        sol = ode.integrate(rhs, np.zeros(2), (0.0, 1.0), cfg)
+        assert sol.status == "underflow"
+        assert 0.5 - 1e-12 <= sol.t_end <= 0.5
+        assert sol.rejected > 0 and sol.accepted + sol.rejected < cfg.max_steps
+
+
+class TestObservability:
+    """The driver's counts: rhs evaluations against a counting wrapper, and
+    the range of accepted step sizes."""
+
+    @staticmethod
+    def counted(rhs):
+        calls = [0]
+
+        def wrapped(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        return wrapped, calls
+
+    def test_nfev_with_rejections(self):
+        rhs, calls = self.counted(lambda t, y: [-50.0 * y[0], math.cos(t) * y[1]])
+        cfg = ode.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, initial_step=0.5, max_step=1.0)
+        sol = ode.integrate(rhs, np.array([1.0, 1.0]), (0.0, 3.0), cfg)
+        assert sol.rejected > 0
+        assert sol.nfev == calls[0] == 1 + 6 * (sol.accepted + sol.rejected)
+
+    def test_nfev_with_rhs_failure(self):
+        rhs, calls = self.counted(failing_at_call(30, FloatingPointError("bad")))
+        sol = ode.integrate(rhs, np.array([1.0]), (0.0, 1.0))
+        assert sol.status == "span"
+        assert sol.nfev == calls[0] < 1 + 6 * (sol.accepted + sol.rejected)
+
+    def test_nfev_when_stopped_at_start(self):
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), stop=lambda t, y: "here")
+        assert (sol.status, sol.nfev, sol.accepted) == ("stopped", 1, 0)
+        assert math.isnan(sol.h_min) and math.isnan(sol.h_max)
+        assert sol.ys.shape == (1, 1) and sol.qs.shape == (0, 1, 4)
+
+    def test_step_range(self):
+        cfg = ode.IntegratorConfig.for_span(10.0, tol=1e-10)
+        sol = ode.integrate(lambda t, y: [y[1], -y[0]], np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+        steps = np.abs(np.diff(sol.ts))
+        assert sol.h_min == pytest.approx(steps.min(), rel=1e-12)
+        assert sol.h_max == pytest.approx(steps.max(), rel=1e-12)
+        assert cfg.min_step <= sol.h_min < sol.h_max <= cfg.max_step
+
+
 class TestStepAndDriver:
     def test_exponential_growth(self):
         cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
