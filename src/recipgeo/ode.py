@@ -175,7 +175,8 @@ class RawSolution:
     `ts` holds the initial and every accepted param, `ys` the (N, n) states
     there; `qs[i]` is the (n, 4) dense-output matrix K^T @ _P of the step
     from ts[i] to ts[i+1].  `nfev` counts rhs evaluations; `h_min`/`h_max`
-    bound the accepted step sizes (NaN if no step was accepted).
+    are the smallest and largest |ts[i+1] - ts[i]| (NaN if no step was
+    accepted).
     """
 
     ts: List[float]
@@ -225,7 +226,7 @@ def integrate(
         raise RhsEvaluationFailure(t, str(exc)) from exc
     ts, ys, ks = [t], [y], []
     accepted = rejected = 0
-    nfev, h_min, h_max = 1, math.inf, 0.0
+    nfev = 1
     status = "span"
     reason = None if stop is None else stop(t, y)
     h = cfg.initial_step
@@ -256,7 +257,6 @@ def integrate(
         ys.append(y)
         ks.append(k)
         accepted += 1
-        h_min, h_max = min(h_min, h_try), max(h_max, h_try)
         if stop is not None:
             reason = stop(t, y)
         h = result.next_step
@@ -266,10 +266,11 @@ def integrate(
     # iterator fills the array faster than numpy reads nested lists
     flat = chain.from_iterable(chain.from_iterable(ks))
     stages = np.fromiter(flat, dtype=float, count=7 * len(y) * len(ks)).reshape(len(ks), 7, len(y))
+    hs = np.abs(np.diff(ts)) if accepted else np.array([math.nan])
     return RawSolution(
         ts=ts, ys=np.array(ys, dtype=float), qs=stages.transpose(0, 2, 1) @ _P,
         accepted=accepted, rejected=rejected, status=status, stop_reason=reason, nfev=nfev,
-        h_min=h_min if accepted else math.nan, h_max=h_max if accepted else math.nan,
+        h_min=float(hs.min()), h_max=float(hs.max()),
     )
 
 

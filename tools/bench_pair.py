@@ -1,22 +1,22 @@
 """Benchmark this checkout against a base commit in alternating pairs.
 
-    python3 tools/bench_pair.py --base REV --out BENCH_N.json [--pairs 10]
-        [--seconds S] [--workloads flow_batch,geodesic_fan,field_eval]
+    python3 tools/bench_pair.py --base REV --out BENCH_N.json
 
 The base commit is exported with `git archive` into a temporary directory;
 the change is this checkout as it stands.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-once on each side, one process at a time, and the side that goes first
-alternates from pair to pair.  After the pairs, one traced run per side and
-workload (`--trace 1`, seed 1) gives the per-layer figures in PER_LAYER.
-Workloads, run length and the end-to-end metrics with their bounds come from
-BENCHMARK.json.  The output holds every run and, per workload and metric,
-each side's median and quartiles, the pairs the change won, and whether the
-change is better by the rule of at least nine wins in ten and a median
-difference beyond the base's interquartile range.  Nothing under perfbench/
-is changed; each side's runs write their own perfbench/out/.
+once on each side, for i = 1 … 10 and every workload, one process at a time,
+and the side that goes first alternates from pair to pair.  A gain claim
+needs ten pairs.  After the pairs, one traced run per side and workload
+(`--trace 1`, seed 1) gives the per-layer figures in PER_LAYER.  The
+workloads, the run length S and the end-to-end metrics with their bounds come
+from BENCHMARK.json.  The output holds every run and, per workload and
+metric, each side's median and quartiles, the pairs the change won, and
+whether the change is better by the rule of at least nine wins in ten and a
+median difference beyond the base's interquartile range.  Nothing under
+perfbench/ is changed; each side's runs write their own perfbench/out/.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PER_LAYER = ("ode.step.us", "ode.integrate.self_ms", "ode.rhs.us")
+PAIRS = 10
 
 
 def export(rev: str, dest: str) -> str:
@@ -87,33 +88,31 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, help="commit to compare against")
     p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     args = p.parse_args(argv)
-    workloads = args.workloads.split(",")
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     with tempfile.TemporaryDirectory() as tmp:
         sha = export(args.base, tmp)
         sides = {"base": os.path.join(tmp, "base"), "change": ROOT}
         runs = {w: {"base": [], "change": []} for w in workloads}
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             order = ("base", "change") if i % 2 else ("change", "base")
             for w in workloads:
                 for side in order:
-                    runs[w][side].append(run(sides[side], w, i, args.seconds, 0))
+                    runs[w][side].append(run(sides[side], w, i, seconds, 0))
                     print(f"pair {i} {w} {side}: {runs[w][side][-1]['metrics']['ops_per_s']['value']:.4g} ops/s",
                           file=sys.stderr, flush=True)
-        traced = {w: {side: run(sides[side], w, 1, args.seconds, 1)["metrics"] for side in ("base", "change")}
+        traced = {w: {side: run(sides[side], w, 1, seconds, 1)["metrics"] for side in ("base", "change")}
                   for w in workloads}
 
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seed i --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed i --seconds {seconds:g} --trace 0",
         "base": sha,
         "change": "working tree of the checkout holding this script",
-        "pairs": args.pairs,
-        "seeds": list(range(1, args.pairs + 1)),
+        "pairs": PAIRS,
+        "seeds": list(range(1, PAIRS + 1)),
         "order": "base first in odd pairs, change first in even pairs",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
