@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -224,7 +223,11 @@ def integrate(
         f = rhs(t, y)
     except _RHS_FAILURES as exc:
         raise RhsEvaluationFailure(t, str(exc)) from exc
-    ts, ys, ks = [t], [y], []
+    # Accepted states and stage derivatives go into flat lists of floats, so
+    # the loop leaves no containers behind for the cyclic garbage collector
+    # to traverse; they become arrays once at the end.
+    n = len(y)
+    ts, ys, ks = [t], list(y), []
     accepted = rejected = 0
     nfev = 1
     status = "span"
@@ -254,21 +257,20 @@ def integrate(
         t = t + direction * h_try
         y, f = y_new, k[6]
         ts.append(t)
-        ys.append(y)
-        ks.append(k)
+        ys.extend(y)
+        for ki in k:
+            ks.extend(ki)
         accepted += 1
         if stop is not None:
             reason = stop(t, y)
         h = result.next_step
     if reason is not None:
         status = "stopped"
-    # (M, 7, n) stage derivatives -> (M, n, 4) dense-output matrices; a flat
-    # iterator fills the array faster than numpy reads nested lists
-    flat = chain.from_iterable(chain.from_iterable(ks))
-    stages = np.fromiter(flat, dtype=float, count=7 * len(y) * len(ks)).reshape(len(ks), 7, len(y))
+    # (M, 7, n) stage derivatives -> (M, n, 4) dense-output matrices
+    stages = np.array(ks, dtype=float).reshape(accepted, 7, n)
     hs = np.abs(np.diff(ts)) if accepted else np.array([math.nan])
     return RawSolution(
-        ts=ts, ys=np.array(ys, dtype=float), qs=stages.transpose(0, 2, 1) @ _P,
+        ts=ts, ys=np.array(ys, dtype=float).reshape(len(ts), n), qs=stages.transpose(0, 2, 1) @ _P,
         accepted=accepted, rejected=rejected, status=status, stop_reason=reason, nfev=nfev,
         h_min=float(hs.min()), h_max=float(hs.max()),
     )

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -234,6 +235,25 @@ class TestStepAndDriver:
         assert sols[0].ts == sols[1].ts
         for y1, y2 in zip(sols[0].ys, sols[1].ys):
             np.testing.assert_array_equal(y1, y2)
+
+    def test_no_containers_kept_per_step(self):
+        # A container kept per accepted step would set off garbage
+        # collections in the middle of long runs; the driver keeps flat
+        # lists of floats, so the objects the collector tracks during a run
+        # do not grow with its length.
+        cfg = ode.IntegratorConfig.for_span(50.0, tol=1e-10)
+        rhs = lambda t, y: [y[1], -y[0]]
+        counts = []
+        stop = lambda t, y: counts.append(gc.get_count()[0])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, 50.0), cfg, stop=stop)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert sol.accepted > 500
+        assert max(counts) - counts[0] < 20
 
     def test_backward_span(self):
         cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
