@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,22 +110,29 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _emit(args, columns: Sequence[str], rows: Sequence[Sequence], meta: dict) -> None:
-    """Write the table as CSV (meta to a JSON sidecar or stderr) or as a
-    single JSON document with a meta block."""
+def _csv(table: Dict[str, Sequence]) -> str:
+    """CSV text of a table (column name -> column), each column formatted
+    once: a float array at 17 significant digits, an int array as integers,
+    a list of Python values through _fmt."""
+    cells = [map("{:.17g}".format if c.dtype.kind == "f" else str, c.tolist())
+             if isinstance(c, np.ndarray) else map(_fmt, c) for c in table.values()]
+    return "\n".join([",".join(table)] + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
+def _emit(args, table: Dict[str, Sequence], meta: dict) -> None:
+    """Write the table (column name -> numpy array or list of Python values)
+    as CSV, meta to a JSON sidecar or stderr, or as one JSON document."""
     meta = {"version": __version__, **meta}
     if args.format == "json":
-        doc = {"meta": meta, "columns": list(columns), "rows": list(rows)}
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        doc = {"meta": meta, "columns": list(table), "rows": list(zip(*cols))}
         text = _dumps(doc, indent=2) + "\n"
         if args.output:
             _atomic_write(args.output, text)
         else:
             sys.stdout.write(text)
         return
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    text = _csv(table)
     if args.output:
         _atomic_write(args.output, text)
         _atomic_write(args.output + ".meta.json", _dumps(meta, indent=2) + "\n")
@@ -133,6 +140,11 @@ def _emit(args, columns: Sequence[str], rows: Sequence[Sequence], meta: dict) ->
         sys.stdout.write(text)
         if meta:
             sys.stderr.write(_dumps(meta) + "\n")
+
+
+def _emit_report(args, report: Dict[str, object], meta: dict) -> None:
+    """A quantity,value table with one row per entry of `report`."""
+    _emit(args, {"quantity": list(report), "value": list(report.values())}, meta)
 
 
 def _seed(args) -> int:
@@ -154,9 +166,8 @@ def cmd_eval(args) -> int:
     chart = Chart(args.chart)
     point = ChartPoint(chart, _parse_floats(args.point, "point"))
     summary = core.cost(point, w)
-    columns = ["J", "R", "S", "G"]
-    rows = [[summary.J, summary.R, summary.S, summary.G]]
-    _emit(args, columns, rows, {"alpha": list(map(float, w.alpha)), "chart": chart.value})
+    table = {"J": [summary.J], "R": [summary.R], "S": [summary.S], "G": [summary.G]}
+    _emit(args, table, {"alpha": list(map(float, w.alpha)), "chart": chart.value})
     return EXIT_OK
 
 
@@ -170,35 +181,25 @@ def cmd_hessian(args) -> int:
         m = hessian.hessian_ratio(point, w)
     else:
         raise UsageError("hessian runs in the ratio or log chart")
-    rows: List[List] = []
     dense = m.to_dense()
-    for i in range(m.n):
-        for j in range(i, m.n):
-            rows.append([f"h[{i}][{j}]", dense[i, j]])
-    rows.append(["rank", hessian.rank(m)])
-    rows.append(["det", m.det()])
+    report = {f"h[{i}][{j}]": dense[i, j] for i in range(m.n) for j in range(i, m.n)}
     summary = core.cost(point, w)
-    rows.append(["S", summary.S])
-    rows.append(["J", summary.J])
-    rows.append(["sum_alpha", w.total])
     s_star = hessian.singular_S(w)
-    rows.append(["singular_S", s_star])
+    report.update(rank=hessian.rank(m), det=m.det(), S=summary.S, J=summary.J, sum_alpha=w.total,
+                  singular_S=s_star)
     if s_star is not None and s_star == 0.0:
-        rows.append(["singular_S_coincides_with_zero_cost", True])
+        report["singular_S_coincides_with_zero_cost"] = True
     if chart is Chart.RATIO:
         d = hessian.decompose(point, w)
-        rows.append(["det_lemma", hessian.det_hessian_ratio(point, w)])
-        rows.append(["beta", d.beta])
-        rows.append(["a_scale", d.a_scale])
+        report.update(det_lemma=hessian.det_hessian_ratio(point, w), beta=d.beta, a_scale=d.a_scale)
         for i, (ui, di) in enumerate(zip(d.u, d.diag)):
-            rows.append([f"u[{i}]", ui])
-            rows.append([f"diag[{i}]", di])
+            report[f"u[{i}]"] = ui
+            report[f"diag[{i}]"] = di
     try:
-        rows.append(["locus_value", hessian.singular_locus_value(point, w)])
+        report["locus_value"] = hessian.singular_locus_value(point, w)
     except RecipGeoError:
-        rows.append(["locus_value", None])
-    _emit(args, ["quantity", "value"], rows,
-          {"alpha": list(map(float, w.alpha)), "chart": chart.value})
+        report["locus_value"] = None
+    _emit_report(args, report, {"alpha": list(map(float, w.alpha)), "chart": chart.value})
     return EXIT_OK
 
 
@@ -210,23 +211,20 @@ def cmd_christoffel(args) -> int:
     if coords.size != 2:
         raise UsageError("--point needs two coordinates")
     chart = Chart(args.chart)
-    rows: List[List] = []
     if chart is Chart.RATIO:
         gamma = connection.lc_christoffel_xy(w.a, w.b, coords[0], coords[1])
         ctx = connection.SingularContext.from_xy(w.a, w.b, coords[0], coords[1])
         names = "xy"
-        rows.append(["Z", ctx.Z])
-        rows.append(["Delta", ctx.Delta])
+        report = {"Z": ctx.Z, "Delta": ctx.Delta}
     elif chart is Chart.LOG:
         gamma = connection.lc_christoffel_st(w.a, w.b, coords[0], coords[1])
         names = "st"
-        rows.append(["q", core.log_to_qr(coords, w.a, w.b)[0]])
+        report = {"q": core.log_to_qr(coords, w.a, w.b)[0]}
     else:
         raise UsageError("christoffel tables are printed in the ratio or log chart")
     for k, i, j in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)):
-        rows.append([f"G^{names[k]}_{names[i]}{names[j]}", gamma.array[k, i, j]])
-    _emit(args, ["quantity", "value"], rows,
-          {"alpha": [w.a, w.b], "chart": chart.value})
+        report[f"G^{names[k]}_{names[i]}{names[j]}"] = gamma.array[k, i, j]
+    _emit_report(args, report, {"alpha": [w.a, w.b], "chart": chart.value})
     return EXIT_OK
 
 
@@ -236,19 +234,16 @@ def cmd_ricci(args) -> int:
         raise UsageError("the Ricci scalar is computed for n = 2")
     if (args.Z is None) == (args.q is None):
         raise UsageError("give exactly one of --Z or --q")
-    rows: List[List] = []
     if args.Z is not None:
-        rows.append(["Z", args.Z])
-        rows.append(["ricci", connection.ricci_xy(w.a, w.b, args.Z)])
+        report = {"Z": args.Z, "ricci": connection.ricci_xy(w.a, w.b, args.Z)}
     else:
-        rows.append(["q", args.q])
-        rows.append(["ricci", connection.ricci_q(w.a, w.b, args.q)])
-    _emit(args, ["quantity", "value"], rows, {"alpha": [w.a, w.b]})
+        report = {"q": args.q, "ricci": connection.ricci_q(w.a, w.b, args.q)}
+    _emit_report(args, report, {"alpha": [w.a, w.b]})
     return EXIT_OK
 
 
-def _geodesic_rows(traj, a: float, b: float):
-    """Rows lambda,x,y,xdot,ydot,q,r,J,Delta,residual for a 2D trajectory."""
+def _geodesic_table(traj, a: float, b: float) -> Dict[str, np.ndarray]:
+    """Columns lambda,x,y,xdot,ydot,q,r,J,Delta,residual of a 2D trajectory."""
     w = WeightVector(np.array([a, b]))
     residuals = geodesics.qr_residual(traj, a, b)
     if traj.chart is Chart.RATIO:
@@ -260,7 +255,8 @@ def _geodesic_rows(traj, a: float, b: float):
         vxy = core.qr_to_log(traj.velocities, a, b) * xy  # chain rule back to the ratio chart
     delta = connection.SingularContext.from_xy(a, b, xy[:, 0], xy[:, 1]).Delta
     J = core.cost_ratio_rows(xy, w)
-    return np.column_stack([traj.lambdas, xy, vxy, qr, J, delta, residuals]).tolist()
+    return {"lambda": traj.lambdas, "x": xy[:, 0], "y": xy[:, 1], "xdot": vxy[:, 0], "ydot": vxy[:, 1],
+            "q": qr[:, 0], "r": qr[:, 1], "J": J, "Delta": delta, "residual": residuals}
 
 
 def cmd_geodesic(args) -> int:
@@ -279,8 +275,7 @@ def cmd_geodesic(args) -> int:
         except InadmissibleInitialState as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_RUNTIME
-        rows = _geodesic_rows(traj, w.a, w.b)
-        columns = ["lambda", "x", "y", "xdot", "ydot", "q", "r", "J", "Delta", "residual"]
+        table = _geodesic_table(traj, w.a, w.b)
     else:
         if state.size != 2 * w.n:
             raise UsageError(f"--state needs {2 * w.n} values (position then velocity)")
@@ -292,9 +287,10 @@ def cmd_geodesic(args) -> int:
         chart0 = Chart.RATIO
         start = ChartPoint(chart0, state[: w.n])
         traj = geodesics.affine_trajectory(structure, start, state[w.n:], span, num=args.samples)
-        columns = ["lambda"] + [f"x{i+1}" for i in range(w.n)] + [f"v{i+1}" for i in range(w.n)] + ["J"]
-        J = core.cost_ratio_rows(traj.positions, w)
-        rows = np.column_stack([traj.lambdas, traj.positions, traj.velocities, J]).tolist()
+        table = {"lambda": traj.lambdas,
+                 **{f"x{i+1}": traj.positions[:, i] for i in range(w.n)},
+                 **{f"v{i+1}": traj.velocities[:, i] for i in range(w.n)},
+                 "J": core.cost_ratio_rows(traj.positions, w)}
     meta = {
         "alpha": list(map(float, w.alpha)),
         "termination": traj.termination.value,
@@ -304,11 +300,9 @@ def cmd_geodesic(args) -> int:
         "span": [span[0], span[1]],
         "type": args.type,
     }
-    _emit(args, columns, rows, meta)
+    _emit(args, table, meta)
     if args.residual_output and args.type == "lc":
-        res_rows = [[row[0], row[-1]] for row in rows]
-        lines = ["lambda,residual"] + [",".join(_fmt(v) for v in r) for r in res_rows]
-        _atomic_write(args.residual_output, "\n".join(lines) + "\n")
+        _atomic_write(args.residual_output, _csv({k: table[k] for k in ("lambda", "residual")}))
     span_len = abs(span[1] - span[0])
     covered = abs(traj.lambdas[-1] - span[0])
     if traj.termination is TerminationReason.SINGULARITY_REACHED and covered < 0.01 * span_len:
@@ -326,22 +320,18 @@ def cmd_flow(args) -> int:
     sign = flows.FlowSign.ASCENT if args.sign == "ascent" else flows.FlowSign.DESCENT
     sol = flows.flow_solution(t0, w, sign)
     traj = flows.integrate_flow(t0, w, sign, span, tol=args.tol, samples=args.samples)
-    basis = hessian.radical_basis(w).vectors
-    S0 = float(np.dot(w.alpha, t0))
-    columns = (
-        ["tau", "S", "S_closed", "J"]
-        + [f"t{i+1}" for i in range(w.n)]
-        + [f"r{k+1}" for k in range(w.n - 1)]
-    )
-    rows = []
-    for tau, pos in zip(traj.lambdas, traj.positions):
-        S = float(np.dot(w.alpha, pos))
-        try:
-            S_closed = flows.closed_form_S(S0, tau, w, sign)
-        except RecipGeoError:
-            S_closed = None
-        r_proj = basis @ pos if basis.size else np.empty(0)
-        rows.append([tau, S, S_closed, math.cosh(S) - 1.0, *pos, *r_proj])
+    S0 = flows._alpha_dot(t0, w.alpha)[0]
+    S = flows._alpha_dot(traj.positions, w.alpha)[0][:, 0]
+    S_closed = flows.closed_form_S(S0, traj.lambdas, w, sign)
+    r = flows.radical_projections(traj.positions, w)
+    table = {
+        "tau": traj.lambdas,
+        "S": S,
+        "S_closed": np.where(np.isnan(S_closed), None, S_closed).tolist(),  # NaN past tau*: empty cell, null
+        "J": core._cost_from_S(S),
+        **{f"t{i+1}": traj.positions[:, i] for i in range(w.n)},
+        **{f"r{k+1}": r[:, k] for k in range(w.n - 1)},
+    }
     tau_star = flows.blowup_time(S0, w)
     meta = {
         "alpha": list(map(float, w.alpha)),
@@ -353,7 +343,7 @@ def cmd_flow(args) -> int:
         "rejected": traj.rejected,
         "tol": args.tol,
     }
-    _emit(args, columns, rows, meta)
+    _emit(args, table, meta)
     if sign is flows.FlowSign.ASCENT and traj.termination in (
         TerminationReason.BLOWUP,
         TerminationReason.STEP_UNDERFLOW,
@@ -395,10 +385,9 @@ def cmd_locus(args) -> int:
         + 2 * adjacency(F_sing).astype(int)
         + 4 * adjacency(F_ricci).astype(int)
     )
-    table = np.column_stack([X.ravel(), Y.ravel(), ctx.Z.ravel(), ctx.Delta.ravel(), ricci.ravel()])
-    rows = [row + [f] for row, f in zip(table.tolist(), flags.ravel().tolist())]
-    _emit(args, ["x", "y", "Z", "Delta", "Ricci", "flags"], rows,
-          {"alpha": [a, b], "grid": n, "range": [lo, hi]})
+    table = {"x": X.ravel(), "y": Y.ravel(), "Z": ctx.Z.ravel(), "Delta": ctx.Delta.ravel(),
+             "Ricci": ricci.ravel(), "flags": flags.ravel()}
+    _emit(args, table, {"alpha": [a, b], "grid": n, "range": [lo, hi]})
     return EXIT_OK
 
 
@@ -421,16 +410,11 @@ def cmd_fisher(args) -> int:
     info = infogeo.fisher_info(t, w)
     S = core.cost_log(t, w).S
     mf = infogeo.mean_function(S)
-    rows: List[List] = []
     dense = info.to_dense()
-    for i in range(info.n):
-        for j in range(i, info.n):
-            rows.append([f"I[{i}][{j}]", dense[i, j]])
-    rows.append(["S", S])
-    rows.append(["m", mf.m])
-    rows.append(["m_prime", mf.m_prime])
-    rows.append(["hessian_dev", matrix_deviation(dense, hessian.hessian_log(t, w).to_dense())])
-    _emit(args, ["quantity", "value"], rows, {"alpha": list(map(float, w.alpha))})
+    report = {f"I[{i}][{j}]": dense[i, j] for i in range(info.n) for j in range(i, info.n)}
+    report.update(S=S, m=mf.m, m_prime=mf.m_prime,
+                  hessian_dev=matrix_deviation(dense, hessian.hessian_log(t, w).to_dense()))
+    _emit_report(args, report, {"alpha": list(map(float, w.alpha))})
     return EXIT_OK
 
 

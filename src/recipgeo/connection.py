@@ -213,8 +213,8 @@ def ricci_xy(a: float, b: float, Z):
     Z = x^{2a} y^{2b}; vanishes identically when a + b = 0.
 
     A float Z must be positive and off both degeneracy loci.  An array of Z
-    is evaluated without those guards: entries on a locus come out huge or
-    non-finite, except that a + b = 0 gives exact zeros."""
+    gives NaN within EPS_SINGULAR of a locus, where the float call raises
+    SingularLocus, except that a + b = 0 gives exact zeros."""
     zero, sing, curv = z_factors(a, b, Z)
     ricci = lambda sqrt: 4.0 * (a + b) * Z * sqrt(Z) * curv / (zero * zero * sing * sing)
     if not isinstance(Z, np.ndarray):
@@ -225,8 +225,9 @@ def ricci_xy(a: float, b: float, Z):
         return ricci(math.sqrt)
     if a + b == 0.0:
         return np.zeros_like(Z)
+    near = (np.abs(zero) < EPS_SINGULAR) | (np.abs(sing) < EPS_SINGULAR)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return ricci(np.sqrt)
+        return np.where(near, np.nan, ricci(np.sqrt))
 
 
 def ricci_q(a: float, b: float, q: float) -> float:

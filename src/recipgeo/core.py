@@ -42,11 +42,12 @@ def entrywise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray
     return apply
 
 
-# exp, log, sinh and cosh of `math`, entrywise: numpy's own round the last bit
-# differently on about a fifth of arguments, which 1/Delta amplifies near the
-# singular set.  Closed forms evaluate rows with these, so that each row has
-# the bits of its one-point call.
-ROW_MATH = SimpleNamespace(**{f: entrywise(getattr(math, f)) for f in ("exp", "log", "sinh", "cosh")})
+# exp, log, sinh, cosh and atanh of `math`, entrywise: numpy's own round the
+# last bit differently on about a fifth of arguments, which 1/Delta amplifies
+# near the singular set.  Closed forms evaluate rows with these, so that each
+# row has the bits of its one-point call.
+ROW_MATH = SimpleNamespace(**{f: entrywise(getattr(math, f))
+                              for f in ("exp", "log", "sinh", "cosh", "atanh")})
 
 
 def math_for(v):

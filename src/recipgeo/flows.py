@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import ode
-from .core import ROW_MATH, Chart, ChartPoint, WeightVector, entrywise
+from .core import ROW_MATH, Chart, ChartPoint, WeightVector, entrywise, math_for
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
 from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples
 from .hessian import radical_basis
@@ -45,10 +45,6 @@ class FlowSolution:
     valid_interval: Tuple[float, float]
 
 
-def _S_of(t: np.ndarray, w: WeightVector) -> float:
-    return float(np.dot(w.alpha, t))
-
-
 def _coords(t, w: WeightVector) -> np.ndarray:
     if isinstance(t, ChartPoint):
         t.require_chart(Chart.LOG)
@@ -62,49 +58,62 @@ def _coords(t, w: WeightVector) -> np.ndarray:
 
 def gradient_field(t, w: WeightVector, sign: FlowSign) -> np.ndarray:
     """+-alpha sinh(alpha . t): everywhere parallel to alpha."""
-    arr = _coords(t, w)
-    return sign.value * w.alpha * math.sinh(_S_of(arr, w))
+    return np.array(_flow_velocity(_coords(t, w), w.alpha, sign.value))
 
 
 def cost_rate(t, w: WeightVector, sign: FlowSign) -> float:
     """dJ/dtau along the flow: +-|alpha|^2 sinh^2(S)."""
-    arr = _coords(t, w)
-    s = math.sinh(_S_of(arr, w))
+    s = math.sinh(_alpha_dot(_coords(t, w), w.alpha)[0])
     return sign.value * w.norm_sq * s * s
 
 
-def closed_form_S(S0: float, tau: float, w: WeightVector, sign: FlowSign) -> float:
-    """S(tau) = 2 artanh(tanh(S0/2) e^{+-|alpha|^2 tau})."""
-    C = math.tanh(0.5 * S0)
-    arg = C * math.exp(sign.value * w.norm_sq * tau)
-    if abs(arg) >= 1.0:
-        tau_star = blowup_time(S0, w)
-        raise BlowupTime(f"flow argument reached 1 (ascent blowup at tau* = {tau_star})")
-    return 2.0 * math.atanh(arg)
+def _flow_constant(S0: float) -> float:
+    """C = tanh(S0/2), the constant of S(tau) = 2 artanh(C e^{+-|alpha|^2 tau})."""
+    return math.tanh(0.5 * S0)
+
+
+def closed_form_S(S0: float, tau, w: WeightVector, sign: FlowSign):
+    """S(tau) = 2 artanh(tanh(S0/2) e^{+-|alpha|^2 tau}) at a float tau, or
+    at each entry of an array of tau with the bits of its float call (libm
+    entrywise) and NaN where the float call raises BlowupTime (|arg| >= 1)."""
+    xp = math_for(tau)
+    arg = _flow_constant(S0) * xp.exp(sign.value * w.norm_sq * tau)
+    if xp is math:
+        if abs(arg) >= 1.0:
+            raise BlowupTime(f"flow argument reached 1 (ascent blowup at tau* = {blowup_time(S0, w)})")
+        return 2.0 * math.atanh(arg)
+    S = np.full_like(arg, np.nan)
+    inside = np.abs(arg) < 1.0
+    S[inside] = 2.0 * xp.atanh(arg[inside])
+    return S
 
 
 def blowup_time(S0: float, w: WeightVector) -> float:
     """Finite horizon -ln|C| / |alpha|^2 of the ascent flow (inf for S0 = 0)."""
-    C = math.tanh(0.5 * S0)
+    C = _flow_constant(S0)
     if C == 0.0:
         return math.inf
     return -math.log(abs(C)) / w.norm_sq
 
 
+def radical_projections(t: np.ndarray, w: WeightVector) -> np.ndarray:
+    """The projections r^k = b_k . t onto the radical basis, which every flow
+    line conserves: (n-1,) at one point, (N, n-1) at rows (N, n).  The rows
+    take one product each, so every row has the bits of the one-point call."""
+    basis = radical_basis(w).vectors
+    if t.ndim == 2:
+        return (t[:, None, :] @ basis.T)[:, 0]
+    return basis @ t
+
+
 def flow_solution(t0, w: WeightVector, sign: FlowSign) -> FlowSolution:
     """Integration constants and validity interval of the flow from t0."""
     arr = _coords(t0, w)
-    S0 = _S_of(arr, w)
-    C = math.tanh(0.5 * S0)
-    basis = radical_basis(w).vectors
-    transverse = basis @ arr if basis.size else np.empty(0)
-    if C == 0.0:
-        interval = (-math.inf, math.inf)
-    elif sign is FlowSign.ASCENT:
-        interval = (-math.inf, -math.log(abs(C)) / w.norm_sq)
-    else:
-        interval = (math.log(abs(C)) / w.norm_sq, math.inf)
-    return FlowSolution(sign=sign, C=C, transverse=transverse, valid_interval=interval)
+    S0 = _alpha_dot(arr, w.alpha)[0]
+    tau_star = blowup_time(S0, w)
+    interval = (-math.inf, tau_star) if sign is FlowSign.ASCENT else (-tau_star, math.inf)
+    return FlowSolution(sign=sign, C=_flow_constant(S0), transverse=radical_projections(arr, w),
+                        valid_interval=interval)
 
 
 def integrate_flow(
@@ -144,7 +153,7 @@ def integrate_flow(
             return TerminationReason.BLOWUP
         return None
 
-    S0 = _S_of(arr, w)
+    S0 = _alpha_dot(arr, alpha)[0]
     if sign is FlowSign.DESCENT and abs(S0) < CONVERGED_S:
         zero = np.zeros((1, arr.size))
         return Trajectory(Chart.LOG, np.array([tau0]), arr[None, :].copy(), zero, zero.copy(),

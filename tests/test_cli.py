@@ -5,7 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from recipgeo import SingularContext, lc_christoffel_st, lc_christoffel_xy
+from recipgeo import (
+    Chart,
+    ChartPoint,
+    SingularContext,
+    WeightVector,
+    cost_log,
+    flows,
+    lc_christoffel_st,
+    lc_christoffel_xy,
+)
 from recipgeo.cli import _json_safe, main
 
 from conftest import assert_close
@@ -214,6 +223,10 @@ class TestGeodesic:
         header, rows = read_csv(res)
         assert header == ["lambda", "residual"]
         assert max(float(r[1]) for r in rows) <= 1e-8
+        # the same cells, byte for byte, as the lambda and residual columns of the trajectory CSV
+        lines = [line.split(",") for line in out.read_text().splitlines()]
+        i, j = lines[0].index("lambda"), lines[0].index("residual")
+        assert res.read_text() == "".join(f"{c[i]},{c[j]}\n" for c in lines)
 
 
 class TestFlow:
@@ -239,6 +252,30 @@ class TestFlow:
         assert code == 3
         meta = json.loads((tmp_path / "ascent.csv.meta.json").read_text())
         assert meta["tau_star"] == pytest.approx(1.5438736658106096, rel=1e-9)
+
+    def test_columns_match_point_calls(self, capsys):
+        """Every S, S_closed, J and r cell has the bits of the library's
+        one-point call; past tau* S_closed is an empty CSV cell, JSON null."""
+        argv = ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--sign", "ascent", "--span", "0,5"]
+        assert main(argv) == 3
+        lines = capsys.readouterr().out.splitlines()
+        header, csv_rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert main(argv + ["--format", "json"]) == 3
+        doc = strict_loads(capsys.readouterr().out)
+        assert doc["columns"] == header == ["tau", "S", "S_closed", "J", "t1", "t2", "r1"]
+        assert len(doc["rows"]) == len(csv_rows) == 512
+        assert csv_rows[-1][2] == "" and doc["rows"][-1][2] is None
+        w = WeightVector(np.array([0.5, 0.5]))
+        S0 = flows._alpha_dot(np.array([1.2, 0.8]), w.alpha)[0]
+        for k, (cells, row) in enumerate(zip(csv_rows, doc["rows"])):
+            tau, t = float(cells[0]), np.array([float(cells[4]), float(cells[5])])
+            S = flows._alpha_dot(t, w.alpha)[0]
+            want = [tau, S, None, cost_log(ChartPoint(Chart.LOG, t), w).J, *t,
+                    *flows.radical_projections(t, w)]
+            if k < len(csv_rows) - 1:
+                want[2] = flows.closed_form_S(S0, tau, w, flows.FlowSign.ASCENT)
+            assert row == want
+            assert [float(c) if c else None for c in cells] == want
 
     def test_stationary_point(self, tmp_path):
         out = tmp_path / "fixed.csv"
@@ -353,6 +390,18 @@ class TestLocus:
             else:
                 assert row[r_idx] is None
         assert on_zero_cost >= 1  # the grid holds the origin, where Z = 1 exactly
+
+    def test_ricci_nan_near_zero_cost(self, capsys):
+        # log x = -0.45, log y = 0.3 lies on R = 1, where Z - 1 is round-off
+        argv = ["locus", "--alpha", f"{1/3},{1/2}", "--grid", "41"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = lines[1 + 17 * 41 + 22].split(",")
+        assert math.log(float(cells[0])) == pytest.approx(-0.45)
+        assert math.log(float(cells[1])) == pytest.approx(0.3)
+        assert cells[4] == "nan" and int(cells[5]) & 1
+        assert main(argv + ["--format", "json"]) == 0
+        assert strict_loads(capsys.readouterr().out)["rows"][17 * 41 + 22][4] is None
 
 
 class TestVerify:

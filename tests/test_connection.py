@@ -155,6 +155,24 @@ class TestRicci:
         with pytest.raises(SingularLocus):
             ricci_xy(0.5, 0.25, 1.0 + 1e-12)
 
+    def test_array_matches_float_call(self):
+        """The array Ricci on the locus grid: each finite entry equals its
+        float call, NaN wherever the float call raises SingularLocus."""
+        a, b = 1 / 3, 1 / 2
+        x = np.exp(np.linspace(-3.0, 3.0, 41))
+        Z = SingularContext.from_xy(a, b, *np.meshgrid(x, x, indexing="ij"), xp=np).Z
+        ricci = ricci_xy(a, b, Z)
+        assert np.isnan(ricci[17, 22])  # log x = -0.45, log y = 0.3: on R = 1
+        singular = 0
+        for z, r in zip(Z.ravel().tolist(), ricci.ravel().tolist()):
+            if math.isnan(r):
+                singular += 1
+                with pytest.raises(SingularLocus):
+                    ricci_xy(a, b, z)
+            else:
+                assert r == ricci_xy(a, b, z)
+        assert singular == 13
+
     def test_chart_consistency(self, rng):
         count = 0
         while count < 50:

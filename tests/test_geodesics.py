@@ -212,11 +212,18 @@ def _row_cases(rng):
     alpha = np.array([0.6, -0.3, 0.9])
     n2 = float(alpha @ alpha)
     t_rows = np.vstack([rng.uniform(-3.0, 3.0, (200, 3)), 400.0 * alpha / n2])  # |S| = 400
+
+    w = WeightVector(alpha)
+    tau_star = flows.blowup_time(0.9, w)
+    tau_rows = np.append(rng.uniform(-2.0, tau_star, 200), [tau_star + 0.1, 3.0])[:, None]  # past tau*
     return {
         "accel_xy": (lambda r: np.array(geodesics._accel_xy(a, b, *r.T)).T, xy_rows, [len(xy_rows) - 1]),
         "accel_qr": (lambda r: np.array(geodesics._accel_qr(0.8, -0.3, *r.T)).T, qr_rows, [len(qr_rows) - 1]),
         "flow_velocity": (lambda r: flows._flow_velocity(r, alpha, -1.0), t_rows, []),
         "flow_accel": (lambda r: flows._flow_accel(r, alpha, n2), t_rows, []),
+        "closed_form_S": (lambda r: np.array(flows.closed_form_S(0.9, r.T[0], w, flows.FlowSign.ASCENT))[..., None],
+                          tau_rows, [len(tau_rows) - 2, len(tau_rows) - 1]),
+        "radical_projections": (lambda r: flows.radical_projections(r, w), t_rows, []),
     }
 
 
@@ -225,7 +232,8 @@ class TestRowsMatchPoints:
     bit for bit (so well within a deviation of 1e-14), NaN rows where the
     point call raises, and the same infinities where sinh(2S) overflows."""
 
-    @pytest.mark.parametrize("name", ["accel_xy", "accel_qr", "flow_velocity", "flow_accel"])
+    @pytest.mark.parametrize("name", ["accel_xy", "accel_qr", "flow_velocity", "flow_accel",
+                                      "closed_form_S", "radical_projections"])
     def test_rows_match_points(self, name, rng):
         form, rows, singular = _row_cases(rng)[name]
         assert len(rows) > 150

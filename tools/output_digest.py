@@ -1,0 +1,117 @@
+"""Compare the outputs of a fixed list of recipgeo commands between a base
+commit and this checkout.
+
+    python3 tools/output_digest.py --base REV
+
+The base commit is exported with `bench_pair.export`; the change is this
+checkout as it stands.  Each command runs once per side, one process at a
+time, as `python -m recipgeo.cli ARGS` with that side's src/ on PYTHONPATH,
+in a new empty working directory, so that every file it writes (`--output`,
+its `.meta.json` sidecar, `--residual-output`) lands there.  One line per
+command says whether the exit code, stdout, stderr and every written file are
+byte-identical, and, where they are not, which of them differ and in how many
+lines.  Exits 1 if any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pair import ROOT, export
+
+COMMANDS = [
+    # verify reports
+    "verify --seed 0",
+    "verify --seed 123",
+    "verify --suite christoffel_oracle --perturb 0.01",
+    # the README examples
+    "eval --alpha 0.5,0.5 --chart ratio --point 1,1",
+    "hessian --chart ratio --point 2,1 --alpha 1,1",
+    "christoffel --alpha 0.333333,0.5 --point 2,1.5",
+    "ricci --alpha 0.5,0.5 --Z 4",
+    "geodesic --alpha 0.3333333333333333,0.5 --state 4,2,-1,1 --span 0,8"
+    " --output traj.csv --residual-output residual.csv",
+    "geodesic --alpha 1,1 --type affine --structure ratio --state 1,1,-1,0 --span 0,5 --output affine.csv",
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign descent --span 0,30 --output flow.csv",
+    "locus --alpha 0.3333333333333333,0.5 --grid 201 --output locus.csv",
+    "fisher --alpha 0.5,0.5 --point 0.4,0.1",
+    "verify --seed 7",
+    # flows, CSV and JSON, with sidecars
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign ascent --span 0,5 --output flow.csv",
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign ascent --span 0,5 --format json --output flow.json",
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign descent --span 0,5 --output flow.csv",
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign descent --span 0,5 --format json --output flow.json",
+    "flow --alpha=0.6,-0.3,0.9 --point=0.5,1,-0.2 --sign descent --span 0,5 --output flow.csv",
+    "flow --alpha 0.7 --point 1.5 --sign descent --span 0,5",
+    # geodesics: Levi-Civita in both charts, affine in both structures
+    "geodesic --alpha 0.3333333333333333,0.5 --chart ratio --state 4,2,-1,1 --span 0,8"
+    " --residual-output residual.csv",
+    "geodesic --alpha 0.3333333333333333,0.5 --chart qr --state=1.2,0.3,-0.2,0.5 --span 0,3"
+    " --format json --output traj.json --residual-output residual.csv",
+    "geodesic --alpha=0.8,-0.8 --chart ratio --state=2,1,0.7071067811865476,0.7071067811865476 --span 0,4"
+    " --residual-output residual.csv",
+    "geodesic --alpha 0.5,0.5 --type affine --structure log --state 1,2,0.5,-0.5 --span 0,3",
+    "geodesic --alpha 1,1 --type affine --structure ratio --state 1,1,-1,0 --span 0,5 --format json",
+    # loci
+    "locus --alpha 0.3333333333333333,0.5 --grid 41",
+    "locus --alpha 0.3333333333333333,0.5 --grid 41 --format json",
+    "locus --alpha 0.3333333333333333,0.5 --grid 201",
+    "locus --alpha 0.3333333333333333,0.5 --grid 201 --format json",
+    # the scalar reports
+    "eval --alpha 0.5,-0.8,1.1 --chart log --point 0.7,-1.2,0.4 --format json",
+    "hessian --alpha 0.5,-0.8,1.1 --chart log --point 0.7,-1.2,0.4",
+    "hessian --alpha 0.5,0.5 --chart ratio --point 2,0.5 --format json",
+    "christoffel --alpha 0.333333,0.5 --chart log --point 0.4,-0.3",
+    "ricci --alpha 0.3,0.4 --q 0.8 --format json",
+    "fisher --alpha 0.5,-0.8,1.1 --point 0.7,-1.2,0.4 --format json",
+]
+
+
+def run(root: str, argv: list) -> dict:
+    """One command in a fresh directory: exit code, stdout, stderr and the
+    bytes of every file it wrote, by name."""
+    env = {k: v for k, v in os.environ.items() if k != "RECIPGEO_SEED"}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "recipgeo.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=600)
+        out = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        for name in sorted(os.listdir(cwd)):
+            with open(os.path.join(cwd, name), "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
+def differing_lines(a, b) -> str:
+    if not isinstance(a, bytes) or not isinstance(b, bytes):
+        return f"{a!r} against {b!r}"
+    la, lb = a.splitlines(), b.splitlines()
+    changed = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
+    return f"{changed} of {max(len(la), len(lb))} lines"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--base", required=True, help="commit to compare against")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sha = export(args.base, tmp)
+        print(f"base {sha}, change: the working tree of {ROOT}")
+        same = 0
+        for cmd in COMMANDS:
+            base, change = (run(root, cmd.split()) for root in (os.path.join(tmp, "base"), ROOT))
+            diffs = [f"{key} ({differing_lines(base.get(key), change.get(key))})"
+                     for key in sorted(set(base) | set(change), key=str) if base.get(key) != change.get(key)]
+            same += not diffs
+            print(f"{'identical' if not diffs else 'DIFFERS':<10} {cmd}" + (f": {', '.join(diffs)}" if diffs else ""),
+                  flush=True)
+    print(f"{same} of {len(COMMANDS)} commands byte-identical")
+    return 0 if same == len(COMMANDS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
