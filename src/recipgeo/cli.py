@@ -263,6 +263,8 @@ def cmd_geodesic(args) -> int:
     w = _weights(args)
     span = _parse_span(args.span)
     state = _parse_floats(args.state, "state")
+    if args.residual_output and args.type != "lc":
+        raise UsageError("--residual-output applies to --type lc only")
     if args.type == "lc":
         if w.n != 2:
             raise UsageError("Levi-Civita geodesics are implemented for n = 2")
@@ -301,7 +303,7 @@ def cmd_geodesic(args) -> int:
         "type": args.type,
     }
     _emit(args, table, meta)
-    if args.residual_output and args.type == "lc":
+    if args.residual_output:
         _atomic_write(args.residual_output, _csv({k: table[k] for k in ("lambda", "residual")}))
     span_len = abs(span[1] - span[0])
     covered = abs(traj.lambdas[-1] - span[0])
@@ -322,17 +324,16 @@ def cmd_flow(args) -> int:
     traj = flows.integrate_flow(t0, w, sign, span, tol=args.tol, samples=args.samples)
     S0 = flows._alpha_dot(t0, w.alpha)[0]
     S = flows._alpha_dot(traj.positions, w.alpha)[0][:, 0]
-    S_closed = flows.closed_form_S(S0, traj.lambdas, w, sign)
     r = flows.radical_projections(traj.positions, w)
     table = {
         "tau": traj.lambdas,
         "S": S,
-        "S_closed": np.where(np.isnan(S_closed), None, S_closed).tolist(),  # NaN past tau*: empty cell, null
+        "S_closed": flows.closed_form_S(S0, traj.lambdas - span[0], w, sign),
         "J": core._cost_from_S(S),
         **{f"t{i+1}": traj.positions[:, i] for i in range(w.n)},
         **{f"r{k+1}": r[:, k] for k in range(w.n - 1)},
     }
-    tau_star = flows.blowup_time(S0, w)
+    tau_star = span[0] + flows.blowup_time(S0, w)
     meta = {
         "alpha": list(map(float, w.alpha)),
         "sign": args.sign,
@@ -344,10 +345,7 @@ def cmd_flow(args) -> int:
         "tol": args.tol,
     }
     _emit(args, table, meta)
-    if sign is flows.FlowSign.ASCENT and traj.termination in (
-        TerminationReason.BLOWUP,
-        TerminationReason.STEP_UNDERFLOW,
-    ):
+    if traj.termination is TerminationReason.BLOWUP:
         sys.stderr.write(f"error: ascent blowup inside span at tau* = {_fmt(tau_star)}\n")
         return EXIT_RUNTIME
     return EXIT_OK

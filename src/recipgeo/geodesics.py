@@ -33,6 +33,12 @@ from .errors import (
 )
 
 DELTA_DOMAIN = 1e-12
+# Both charts stop a Levi-Civita run once |Delta| < DELTA_STOP.  Accepted
+# steps toward Delta = 0 shrink until the step size underflows, at |Delta|
+# from 8e-9 to 2.6e-7 at tol 1e-10 and up to 9.8e-7 at tol 1e-12 (about 100
+# accepted steps per decade of |Delta|); the stop sits 10x above the highest
+# of these floors, so every such run reaches it.
+DELTA_STOP = 1e-5
 DENSE_SAMPLES = 512
 # beyond this magnitude of a log coordinate the ratio image is not representable
 LOG_COORD_MAX = 700.0
@@ -97,19 +103,18 @@ class Trajectory:
 
     @classmethod
     def from_solution(cls, sol: ode.RawSolution, chart: Chart, lam0: float, samples: int,
-                      underflow: Callable[[np.ndarray], TerminationReason],
                       split: Callable[[np.ndarray], tuple]) -> "Trajectory":
         """Dense samples of an integrated run at `samples` uniform parameters
         from lam0 to where it stopped (one sample if it stopped at lam0).
 
-        `underflow(y)` names the reason for a run whose step size underflowed
-        at final state y; `split(ys)` maps the sampled states, one per row,
-        to (positions, velocities, accelerations)."""
+        `split(ys)` maps the sampled states, one per row, to (positions,
+        velocities, accelerations)."""
         termination = {
             "span": TerminationReason.SPAN_COMPLETE,
+            "underflow": TerminationReason.STEP_UNDERFLOW,
             "maxsteps": TerminationReason.MAX_STEPS,
             "stopped": sol.stop_reason,
-        }.get(sol.status) or underflow(sol.ys[-1])
+        }[sol.status]
         lam_end = sol.t_end
         lambdas = np.linspace(lam0, lam_end, samples) if lam_end != lam0 else np.array([lam0])
         positions, velocities, accelerations = split(ode.dense_sample(sol, lambdas))
@@ -323,37 +328,15 @@ def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
 def _guard_xy(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
     if pos[0] <= DELTA_DOMAIN or pos[1] <= DELTA_DOMAIN:
         return TerminationReason.DOMAIN_BOUNDARY
-    if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < EPS_SINGULAR:
+    if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < DELTA_STOP:
         return TerminationReason.SINGULARITY_REACHED
     return None
 
 
 def _guard_qr(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
-    q = pos[0]
-    sh = math.sinh(q)
-    if abs(sh) < EPS_SINGULAR or abs((a + b) * math.cosh(q) - sh) < EPS_SINGULAR:
+    if abs(SingularContext.from_q(a, b, pos[0]).Delta) < DELTA_STOP:
         return TerminationReason.SINGULARITY_REACHED
     return None
-
-
-def _underflow_xy(a: float, b: float, pos: np.ndarray) -> TerminationReason:
-    """Attribute a step underflow to a guard if the final state is within
-    10x of one."""
-    if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < 10.0 * EPS_SINGULAR:
-        return TerminationReason.SINGULARITY_REACHED
-    if pos[0] <= 10.0 * DELTA_DOMAIN or pos[1] <= 10.0 * DELTA_DOMAIN:
-        return TerminationReason.DOMAIN_BOUNDARY
-    return TerminationReason.STEP_UNDERFLOW
-
-
-def _underflow_qr(a: float, b: float, pos: np.ndarray) -> TerminationReason:
-    """Attribute a step underflow to a guard if the final state is within
-    10x of one."""
-    q = pos[0]
-    if abs(math.sinh(q)) < 10.0 * EPS_SINGULAR or \
-       abs((a + b) * math.cosh(q) - math.sinh(q)) < 10.0 * EPS_SINGULAR:
-        return TerminationReason.SINGULARITY_REACHED
-    return TerminationReason.STEP_UNDERFLOW
 
 
 def integrate_geodesic(
@@ -363,12 +346,11 @@ def integrate_geodesic(
     span: Tuple[float, float],
     tol: float = 1e-10,
     samples: int = DENSE_SAMPLES,
-    max_steps: int = 500_000,
 ) -> Trajectory:
     """Integrate a Levi-Civita geodesic in the chart of the initial state.
 
     Runs the embedded 5(4) pair with per-step tolerance `tol`, halting early
-    when the singular guard trips, a ratio coordinate reaches the domain
+    when |Delta| falls below DELTA_STOP, a ratio coordinate reaches the domain
     boundary, or the step size underflows.  The returned trajectory holds
     `samples` densely sampled states at uniform parameter values, with the
     accelerations evaluated from the closed-form right-hand side.
@@ -377,12 +359,12 @@ def integrate_geodesic(
     lam0, lam1 = float(span[0]), float(span[1])
     if lam1 == lam0:
         raise InvalidSpan("span must have nonzero length")
-    cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol, max_steps=max_steps)
+    cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol)
     if state0.chart is Chart.RATIO:
-        guard, underflow = _guard_xy, _underflow_xy
+        guard = _guard_xy
         accel = lambda y: _accel_xy(a, b, y[0], y[1], y[2], y[3])
     elif state0.chart is Chart.QR:
-        guard, underflow = _guard_qr, _underflow_qr
+        guard = _guard_qr
         accel = lambda y: _accel_qr(a, b, y[0], y[2], y[3])
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
@@ -390,7 +372,10 @@ def integrate_geodesic(
     def rhs(_lam: float, y: List[float]) -> List[float]:
         return [y[2], y[3], *accel(y)]
 
-    reason0 = guard(a, b, state0.position)
+    try:
+        reason0 = guard(a, b, state0.position)
+    except OverflowError:  # Z = x^2a y^2b = e^2q is not representable
+        raise InadmissibleInitialState("Z overflows at the initial state") from None
     if reason0 is not None:
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
@@ -398,7 +383,6 @@ def integrate_geodesic(
     sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, y: guard(a, b, y))
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
-        lambda y: underflow(a, b, y[:2]),
         lambda ys: (ys[:, :2], ys[:, 2:], np.column_stack(accel(ys.T))),
     )
 

@@ -85,7 +85,7 @@ class IntegratorConfig:
             raise InvalidSpan("tolerances must be positive and finite")
 
     @classmethod
-    def for_span(cls, span_length: float, tol: float = 1e-10, max_steps: int = 500_000) -> "IntegratorConfig":
+    def for_span(cls, span_length: float, tol: float = 1e-10) -> "IntegratorConfig":
         """Span-scaled defaults: initial step 1e-3 of the span, step bounds
         [1e-14, 0.1] of the span."""
         if span_length <= 0.0:
@@ -96,7 +96,6 @@ class IntegratorConfig:
             initial_step=1e-3 * span_length,
             max_step=0.1 * span_length,
             min_step=1e-14 * span_length,
-            max_steps=max_steps,
         )
 
 

@@ -228,6 +228,16 @@ class TestGeodesic:
         i, j = lines[0].index("lambda"), lines[0].index("residual")
         assert res.read_text() == "".join(f"{c[i]},{c[j]}\n" for c in lines)
 
+    def test_affine_residual_output_exits_2(self, tmp_path, capsys):
+        out, res = tmp_path / "a.csv", tmp_path / "r.csv"
+        code = main([
+            "geodesic", "--alpha", "1,1", "--type", "affine", "--structure", "ratio", "--state", "1,1,-1,0",
+            "--span", "0,5", "--output", str(out), "--residual-output", str(res),
+        ])
+        assert code == 2
+        assert "--residual-output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFlow:
     def test_descent_monotone(self, tmp_path):
@@ -255,7 +265,7 @@ class TestFlow:
 
     def test_columns_match_point_calls(self, capsys):
         """Every S, S_closed, J and r cell has the bits of the library's
-        one-point call; past tau* S_closed is an empty CSV cell, JSON null."""
+        one-point call, the last sample too: the ascent stops short of tau*."""
         argv = ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--sign", "ascent", "--span", "0,5"]
         assert main(argv) == 3
         lines = capsys.readouterr().out.splitlines()
@@ -264,18 +274,32 @@ class TestFlow:
         doc = strict_loads(capsys.readouterr().out)
         assert doc["columns"] == header == ["tau", "S", "S_closed", "J", "t1", "t2", "r1"]
         assert len(doc["rows"]) == len(csv_rows) == 512
-        assert csv_rows[-1][2] == "" and doc["rows"][-1][2] is None
         w = WeightVector(np.array([0.5, 0.5]))
         S0 = flows._alpha_dot(np.array([1.2, 0.8]), w.alpha)[0]
-        for k, (cells, row) in enumerate(zip(csv_rows, doc["rows"])):
+        for cells, row in zip(csv_rows, doc["rows"]):
             tau, t = float(cells[0]), np.array([float(cells[4]), float(cells[5])])
             S = flows._alpha_dot(t, w.alpha)[0]
-            want = [tau, S, None, cost_log(ChartPoint(Chart.LOG, t), w).J, *t,
-                    *flows.radical_projections(t, w)]
-            if k < len(csv_rows) - 1:
-                want[2] = flows.closed_form_S(S0, tau, w, flows.FlowSign.ASCENT)
+            want = [tau, S, flows.closed_form_S(S0, tau, w, flows.FlowSign.ASCENT),
+                    cost_log(ChartPoint(Chart.LOG, t), w).J, *t, *flows.radical_projections(t, w)]
             assert row == want
-            assert [float(c) if c else None for c in cells] == want
+            assert [float(c) for c in cells] == want
+
+    def test_span_not_starting_at_zero(self, capsys):
+        # the closed form and tau* are measured from the start of the span
+        argv = ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--sign", "ascent", "--span", "1,3",
+                "--samples", "64"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].split(",")[:3] == ["tau", "S", "S_closed"]
+        w = WeightVector(np.array([0.5, 0.5]))
+        for line in lines[1:]:
+            tau, _, s_closed = line.split(",")[:3]
+            assert float(s_closed) == flows.closed_form_S(1.0, float(tau) - 1.0, w, flows.FlowSign.ASCENT)
+        assert float(lines[1].split(",")[2]) == 1.0
+        tau_star = 1.0 + flows.blowup_time(1.0, w)
+        assert strict_loads(captured.err.splitlines()[0])["tau_star"] == tau_star
+        assert captured.err.splitlines()[1] == f"error: ascent blowup inside span at tau* = {tau_star:.17g}"
 
     def test_stationary_point(self, tmp_path):
         out = tmp_path / "fixed.csv"

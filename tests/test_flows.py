@@ -169,9 +169,23 @@ class TestIntegrateFlow:
         t0 = np.array([1.2, 0.8])  # S0 = 1
         tau_star = blowup_time(1.0, w)
         traj = integrate_flow(t0, w, FlowSign.ASCENT, (0.0, 2.0 * tau_star), tol=1e-10, samples=64)
-        assert traj.termination in (TerminationReason.BLOWUP, TerminationReason.STEP_UNDERFLOW)
+        assert traj.termination is TerminationReason.BLOWUP
         halt = traj.lambdas[-1]
         assert abs(halt - tau_star) / tau_star <= 1e-3
+
+    def test_ascent_past_blowup_level_stops_at_start(self):
+        w = WeightVector(np.array([0.5, 0.5]))
+        t0 = np.array([24.0, 26.0])  # S0 = 25
+        traj = integrate_flow(t0, w, FlowSign.ASCENT, (0.0, 1.0), samples=16)
+        assert traj.termination is TerminationReason.BLOWUP
+        assert traj.lambdas.tolist() == [0.0] and traj.accepted == 0
+        np.testing.assert_array_equal(traj.positions, [t0])
+
+    def test_descent_is_never_a_blowup(self):
+        w = WeightVector(np.array([0.5, 0.5]))
+        traj = integrate_flow(np.array([24.0, 26.0]), w, FlowSign.DESCENT, (0.0, 2.0), samples=16)  # S0 = 25
+        assert traj.termination is TerminationReason.SPAN_COMPLETE
+        assert float(np.dot(w.alpha, traj.positions[-1])) < 20.0
 
     def test_run_counts(self):
         # the trajectory carries the integrator's counts; no rhs call of a

@@ -20,6 +20,7 @@ from recipgeo import (
     lc_christoffel_xy,
     lc_rhs_qr,
     lc_rhs_xy,
+    log_to_qr,
     qr_residual,
     radical_basis,
     tangent_constraints,
@@ -260,11 +261,7 @@ class TestIntegrateGeodesic:
     def test_reference_run_one(self):
         st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
         traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=1e-10)
-        assert traj.termination in (
-            TerminationReason.SINGULARITY_REACHED,
-            TerminationReason.STEP_UNDERFLOW,
-            TerminationReason.SPAN_COMPLETE,
-        )
+        assert traj.termination is TerminationReason.SINGULARITY_REACHED
         res = qr_residual(traj, 1 / 3, 1 / 2)
         deltas = np.array([SingularContext.from_xy(1 / 3, 1 / 2, x, y).Delta for x, y in traj.positions])
         assert np.max(res[np.abs(deltas) > 1e-3]) <= 1e-8
@@ -300,6 +297,12 @@ class TestIntegrateGeodesic:
         st = GeodesicState(Chart.RATIO, [1.0, 1.0], [1.0, 0.0], 0.0)  # Z = 1
         with pytest.raises(InadmissibleInitialState):
             integrate_geodesic(st, 0.5, 0.5, (0.0, 1.0))
+
+    def test_start_where_z_overflows(self):
+        for st in (GeodesicState(Chart.RATIO, [1e200, 1e200], [1.0, 1.0], 0.0),
+                   GeodesicState(Chart.QR, [360.0, 0.0], [1.0, 0.1], 0.0)):
+            with pytest.raises(InadmissibleInitialState):
+                integrate_geodesic(st, 1.0, 1.0, (0.0, 1.0))
 
     def test_invalid_span(self):
         st = GeodesicState(Chart.RATIO, [2.0, 3.0], [0.1, 0.0], 0.0)
@@ -342,7 +345,7 @@ class TestIntegrateGeodesic:
         traj = integrate_geodesic(GeodesicState(Chart.RATIO, *state, span[0]), a, b, span)
         assert traj.termination is not TerminationReason.SPAN_COMPLETE
         delta = SingularContext.from_xy(a, b, *traj.positions.T).Delta
-        assert np.min(np.abs(delta)) < 1e-6
+        assert np.min(np.abs(delta)) < geodesics.DELTA_STOP
         checked = 0
         for lam, x, v, acc, d in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations, delta):
             if abs(d) >= EPS_SINGULAR:
@@ -358,12 +361,47 @@ class TestIntegrateGeodesic:
         assert np.max(np.abs(traj.velocities[:, 1])) <= 1e-10
 
     def test_termination_soundness(self):
-        # when the guard reports a singularity the final sample is within 10x
+        # the guard reports the singularity, and the final sample lies
+        # within the stop level
         st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
         traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=1e-10)
-        if traj.termination is TerminationReason.SINGULARITY_REACHED:
-            d = SingularContext.from_xy(1 / 3, 1 / 2, *traj.positions[-1]).Delta
-            assert abs(d) <= 10.0 * 1e-9
+        assert traj.termination is TerminationReason.SINGULARITY_REACHED
+        d = SingularContext.from_xy(1 / 3, 1 / 2, *traj.positions[-1]).Delta
+        assert abs(d) < geodesics.DELTA_STOP
+
+    def test_reference_run_one_stop_is_stable_in_tol(self):
+        st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
+        ends = []
+        for tol in (1e-8, 1e-10, 1e-12):
+            traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=tol, samples=2)
+            assert traj.termination is TerminationReason.SINGULARITY_REACHED
+            ends.append(traj.lambdas[-1])
+        assert max(ends) - min(ends) <= 1e-8
+
+
+def _both_charts(a, b, x0, v0, span, tol=1e-10):
+    """The geodesic from ratio-chart (x0, v0) integrated in each chart."""
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+    q0, qd0 = log_to_qr(np.log(x0), a, b), log_to_qr(v0 / x0, a, b)
+    return [integrate_geodesic(GeodesicState(chart, p, v, span[0]), a, b, span, tol=tol, samples=2)
+            for chart, p, v in ((Chart.RATIO, x0, v0), (Chart.QR, q0, qd0))]
+
+
+class TestChartsAgree:
+    @pytest.mark.parametrize("k", range(0, 40, 4))
+    def test_fixed_fan(self, k):
+        # every fourth of the 40 unit directions from (4, 2): both charts end
+        # for the same reason at the same parameter
+        th = 2.0 * math.pi * k / 40
+        ratio, qr = _both_charts(1 / 3, 1 / 2, [4.0, 2.0], [math.cos(th), math.sin(th)], (0.0, 8.0))
+        assert ratio.termination is qr.termination
+        lam = qr.lambdas[-1]
+        assert abs(ratio.lambdas[-1] - lam) <= 1e-8 * max(1.0, abs(lam))
+
+    def test_opposite_weights_reach_the_locus(self):
+        th = math.pi / 4
+        ratio, qr = _both_charts(0.8, -0.8, [2.0, 1.0], [math.cos(th), math.sin(th)], (0.0, 4.0))
+        assert ratio.termination is qr.termination is TerminationReason.SINGULARITY_REACHED
 
 
 class TestQrResidual:

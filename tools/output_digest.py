@@ -47,12 +47,17 @@ COMMANDS = [
     "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign descent --span 0,5 --format json --output flow.json",
     "flow --alpha=0.6,-0.3,0.9 --point=0.5,1,-0.2 --sign descent --span 0,5 --output flow.csv",
     "flow --alpha 0.7 --point 1.5 --sign descent --span 0,5",
+    "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign ascent --span 1,3 --samples 4",
     # geodesics: Levi-Civita in both charts, affine in both structures
     "geodesic --alpha 0.3333333333333333,0.5 --chart ratio --state 4,2,-1,1 --span 0,8"
     " --residual-output residual.csv",
     "geodesic --alpha 0.3333333333333333,0.5 --chart qr --state=1.2,0.3,-0.2,0.5 --span 0,3"
     " --format json --output traj.json --residual-output residual.csv",
     "geodesic --alpha=0.8,-0.8 --chart ratio --state=2,1,0.7071067811865476,0.7071067811865476 --span 0,4"
+    " --residual-output residual.csv",
+    # the same geodesic as the line above, started in the qr chart
+    "geodesic --alpha=0.8,-0.8 --chart qr"
+    " --state=0.5545177444479562,0.5545177444479562,-0.28284271247461906,0.8485281374238571 --span 0,4"
     " --residual-output residual.csv",
     "geodesic --alpha 0.5,0.5 --type affine --structure log --state 1,2,0.5,-0.5 --span 0,3",
     "geodesic --alpha 1,1 --type affine --structure ratio --state 1,1,-1,0 --span 0,5 --format json",
