@@ -36,15 +36,16 @@ from .hessian import (
 from .connection import (
     AffineStructure,
     ChristoffelTensor,
-    SingularContext,
     affine_connection,
     christoffel_from_metric,
     curvature_from_christoffel,
+    delta,
     lc_christoffel_st,
     lc_christoffel_xy,
     projective_obstruction,
     ricci_q,
     ricci_xy,
+    z_xy,
 )
 from .geodesics import (
     GeodesicState,
@@ -82,6 +83,6 @@ from .infogeo import (
     mean_function,
     symmetrized_is,
 )
-from .ode import IntegratorConfig, StepResult
+from .ode import StepResult
 
 __version__ = "0.1.0"

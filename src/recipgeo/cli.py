@@ -213,9 +213,9 @@ def cmd_christoffel(args) -> int:
     chart = Chart(args.chart)
     if chart is Chart.RATIO:
         gamma = connection.lc_christoffel_xy(w.a, w.b, coords[0], coords[1])
-        ctx = connection.SingularContext.from_xy(w.a, w.b, coords[0], coords[1])
+        Z = connection.z_xy(w.a, w.b, coords[0], coords[1])
         names = "xy"
-        report = {"Z": ctx.Z, "Delta": ctx.Delta}
+        report = {"Z": Z, "Delta": connection.delta(w.a, w.b, Z)}
     elif chart is Chart.LOG:
         gamma = connection.lc_christoffel_st(w.a, w.b, coords[0], coords[1])
         names = "st"
@@ -253,7 +253,7 @@ def _geodesic_table(traj, a: float, b: float) -> Dict[str, np.ndarray]:
         qr = traj.positions
         xy = np.exp(core.qr_to_log(qr, a, b))
         vxy = core.qr_to_log(traj.velocities, a, b) * xy  # chain rule back to the ratio chart
-    delta = connection.SingularContext.from_xy(a, b, xy[:, 0], xy[:, 1]).Delta
+    delta = connection.delta(a, b, connection.z_xy(a, b, xy[:, 0], xy[:, 1]))
     J = core.cost_ratio_rows(xy, w)
     return {"lambda": traj.lambdas, "x": xy[:, 0], "y": xy[:, 1], "xdot": vxy[:, 0], "ydot": vxy[:, 1],
             "q": qr[:, 0], "r": qr[:, 1], "J": J, "Delta": delta, "residual": residuals}
@@ -364,9 +364,9 @@ def cmd_locus(args) -> int:
     xs = np.exp(logs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     # a grid is matched against no point call, so numpy's exp and log do
-    ctx = connection.SingularContext.from_xy(a, b, X, Y, xp=np)
-    F_zero, F_sing, F_ricci = connection.z_factors(a, b, ctx.Z)
-    ricci = connection.ricci_xy(a, b, ctx.Z)
+    Z = connection.z_xy(a, b, X, Y, xp=np)
+    F_zero, F_sing, F_ricci = connection.z_factors(a, b, Z)
+    ricci = connection.ricci_xy(a, b, Z)
 
     def adjacency(F: np.ndarray) -> np.ndarray:
         flag = np.zeros_like(F, dtype=bool)
@@ -383,7 +383,7 @@ def cmd_locus(args) -> int:
         + 2 * adjacency(F_sing).astype(int)
         + 4 * adjacency(F_ricci).astype(int)
     )
-    table = {"x": X.ravel(), "y": Y.ravel(), "Z": ctx.Z.ravel(), "Delta": ctx.Delta.ravel(),
+    table = {"x": X.ravel(), "y": Y.ravel(), "Z": Z.ravel(), "Delta": connection.delta(a, b, Z).ravel(),
              "Ricci": ricci.ravel(), "flags": flags.ravel()}
     _emit(args, table, {"alpha": [a, b], "grid": n, "range": [lo, hi]})
     return EXIT_OK
@@ -516,6 +516,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, value in vars(args).items():  # --tol, --Z, --q, --perturb
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name} must be finite, got {value}")
+        if getattr(args, "tol", 1.0) <= 0.0:
+            raise UsageError(f"--tol must be positive, got {args.tol}")
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -87,42 +87,31 @@ def z_factors(a: float, b: float, Z):
     return Z - 1.0, (a + b - 1.0) * Z + (a + b + 1.0), (a + b - 2.0) * Z + a + b + 2.0
 
 
-@dataclass(frozen=True)
-class SingularContext:
-    """The squared ratio product Z = R^2 and the Levi-Civita denominator
-    Delta = (Z - 1)((a+b-1) Z + (a+b+1)): floats, or arrays with one entry
-    per point (each with the bits of its one-point call)."""
-
-    Z: float
-    Delta: float
-
-    @classmethod
-    def from_xy(cls, a: float, b: float, x, y, xp=None) -> "SingularContext":
-        """`xp`: the module for exp and log, by default core.math_for(x)."""
-        xp = xp or math_for(x)
-        if xp is math:
-            if x <= 0.0 or y <= 0.0:
-                raise NonPositiveCoordinate("ratio coordinates must be positive")
-        elif np.any(x <= 0.0) or np.any(y <= 0.0):
+def z_xy(a: float, b: float, x, y, xp=None):
+    """The squared ratio product Z = x^{2a} y^{2b} = R^2, at a point or, for
+    arrays x and y, at each entry with the bits of its one-point call.
+    `xp`: the module for exp and log, by default core.math_for(x)."""
+    xp = xp or math_for(x)
+    if xp is math:
+        if x <= 0.0 or y <= 0.0:
             raise NonPositiveCoordinate("ratio coordinates must be positive")
-        return cls.from_Z(a, b, xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y))))
+    elif np.any(x <= 0.0) or np.any(y <= 0.0):
+        raise NonPositiveCoordinate("ratio coordinates must be positive")
+    return xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y)))
 
-    @classmethod
-    def from_Z(cls, a: float, b: float, Z) -> "SingularContext":
-        zero, sing, _ = z_factors(a, b, Z)
-        return cls(Z=Z, Delta=zero * sing)
 
-    @classmethod
-    def from_q(cls, a: float, b: float, q: float) -> "SingularContext":
-        return cls.from_Z(a, b, math.exp(2.0 * q))
+def delta(a: float, b: float, Z):
+    """The Levi-Civita denominator Delta = (Z - 1)((a+b-1) Z + (a+b+1))."""
+    zero, sing, _ = z_factors(a, b, Z)
+    return zero * sing
 
 
 def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTensor:
     """Closed-form Levi-Civita Christoffel symbols in the (x, y) chart."""
     if a == 0.0 or b == 0.0:
         raise ZeroExponent("closed forms require a, b != 0")
-    ctx = SingularContext.from_xy(a, b, x, y)
-    Z, Delta = ctx.Z, ctx.Delta
+    Z = z_xy(a, b, x, y)
+    Delta = delta(a, b, Z)
     if abs(Delta) < EPS_SINGULAR:
         raise SingularMetric(f"|Delta| = {abs(Delta):.3e} below guard {EPS_SINGULAR:g}")
     Z2 = Z * Z

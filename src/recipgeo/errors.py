@@ -61,10 +61,6 @@ class ZeroQ(RecipGeoError):
     pass
 
 
-class DegenerateDirection(RecipGeoError):
-    pass
-
-
 class DomainViolation(RecipGeoError):
     pass
 

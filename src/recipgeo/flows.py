@@ -135,7 +135,6 @@ def integrate_flow(
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
     if tau1 <= tau0:
         raise InvalidSpan("tau span must be increasing")
-    cfg = ode.IntegratorConfig.for_span(tau1 - tau0, tol=tol)
     alpha = w.alpha
     n2 = w.norm_sq
     sgn = sign.value
@@ -151,13 +150,7 @@ def integrate_flow(
             return TerminationReason.BLOWUP
         return None
 
-    S0 = _alpha_dot(arr, alpha)[0]
-    if sign is FlowSign.DESCENT and abs(S0) < CONVERGED_S:
-        zero = np.zeros((1, arr.size))
-        return Trajectory(Chart.LOG, np.array([tau0]), arr[None, :].copy(), zero, zero.copy(),
-                          TerminationReason.CONVERGED)
-
-    sol = ode.integrate(rhs, arr, (tau0, tau1), cfg, stop=stop)
+    sol = ode.integrate(rhs, arr, (tau0, tau1), tol, stop=stop)
     return Trajectory.from_solution(
         sol, Chart.LOG, tau0, samples,
         lambda ys: (ys, _flow_velocity(ys, alpha, sgn), _flow_accel(ys, alpha, n2)),

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ode
-from .connection import EPS_SINGULAR, AffineStructure, SingularContext
+from .connection import EPS_SINGULAR, AffineStructure, delta, z_xy
 from .core import Chart, ChartPoint, log_to_qr, math_for
 from .errors import (
     InadmissibleInitialState,
@@ -61,13 +61,10 @@ class GeodesicState:
     position: np.ndarray
     velocity: np.ndarray
     lam: float
-    acceleration: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        if self.acceleration is not None:
-            object.__setattr__(self, "acceleration", np.asarray(self.acceleration, dtype=float))
 
 
 @dataclass
@@ -98,8 +95,8 @@ class Trajectory:
         Kept only because the benchmark's tracer (perfbench/spans.py) counts
         residual samples with len(traj.samples).  Nothing in the package or
         its tests calls it: read the arrays instead."""
-        rows = zip(self.lambdas, self.positions, self.velocities, self.accelerations)
-        return [GeodesicState(self.chart, p, v, float(lam), acceleration=acc) for lam, p, v, acc in rows]
+        rows = zip(self.lambdas, self.positions, self.velocities)
+        return [GeodesicState(self.chart, p, v, float(lam)) for lam, p, v in rows]
 
     @classmethod
     def from_solution(cls, sol: ode.RawSolution, chart: Chart, lam0: float, samples: int,
@@ -239,8 +236,8 @@ def _accel_xy(a: float, b: float, x, y, vx, vy):
     (raising within EPS_SINGULAR of Delta = 0) or equal-shape arrays (no
     guard: NaN only where Delta = 0; each row has the bits of its one-point
     call)."""
-    ctx = SingularContext.from_xy(a, b, x, y)
-    Z, Delta = ctx.Z, ctx.Delta
+    Z = z_xy(a, b, x, y)
+    Delta = delta(a, b, Z)
     if isinstance(Delta, np.ndarray):
         Delta = np.where(Delta == 0.0, math.nan, Delta)
     elif abs(Delta) < EPS_SINGULAR:
@@ -328,13 +325,13 @@ def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
 def _guard_xy(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
     if pos[0] <= DELTA_DOMAIN or pos[1] <= DELTA_DOMAIN:
         return TerminationReason.DOMAIN_BOUNDARY
-    if abs(SingularContext.from_xy(a, b, pos[0], pos[1]).Delta) < DELTA_STOP:
+    if abs(delta(a, b, z_xy(a, b, pos[0], pos[1]))) < DELTA_STOP:
         return TerminationReason.SINGULARITY_REACHED
     return None
 
 
 def _guard_qr(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
-    if abs(SingularContext.from_q(a, b, pos[0]).Delta) < DELTA_STOP:
+    if abs(delta(a, b, math.exp(2.0 * pos[0]))) < DELTA_STOP:
         return TerminationReason.SINGULARITY_REACHED
     return None
 
@@ -359,7 +356,6 @@ def integrate_geodesic(
     lam0, lam1 = float(span[0]), float(span[1])
     if lam1 == lam0:
         raise InvalidSpan("span must have nonzero length")
-    cfg = ode.IntegratorConfig.for_span(abs(lam1 - lam0), tol=tol)
     if state0.chart is Chart.RATIO:
         guard = _guard_xy
         accel = lambda y: _accel_xy(a, b, y[0], y[1], y[2], y[3])
@@ -380,7 +376,7 @@ def integrate_geodesic(
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
     y0 = np.concatenate([state0.position, state0.velocity])
-    sol = ode.integrate(rhs, y0, (lam0, lam1), cfg, stop=lambda _lam, y: guard(a, b, y))
+    sol = ode.integrate(rhs, y0, (lam0, lam1), tol, stop=lambda _lam, y: guard(a, b, y))
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
         lambda ys: (ys[:, :2], ys[:, 2:], np.column_stack(accel(ys.T))),

@@ -65,38 +65,15 @@ _ORDER_EXP = -1.0 / 5.0
 _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROW_LIMIT = 5.0
+# Step control in fractions of the span length: the first trial step, and
+# the bounds the driver clamps every next step to.
+FIRST_STEP = 1e-3
+MIN_STEP = 1e-14
+MAX_STEP = 0.1
+# trial steps, accepted or rejected, after which a run ends with "maxsteps"
+MAX_STEPS = 500_000
 
 Rhs = Callable[[float, List[float]], Sequence[float]]
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    initial_step: float = 1e-3
-    max_step: float = 0.1
-    min_step: float = 1e-14
-    max_steps: int = 500_000
-
-    def __post_init__(self):
-        if not (0.0 < self.min_step <= self.initial_step <= self.max_step):
-            raise InvalidSpan("need 0 < min_step <= initial_step <= max_step")
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise InvalidSpan("tolerances must be positive and finite")
-
-    @classmethod
-    def for_span(cls, span_length: float, tol: float = 1e-10) -> "IntegratorConfig":
-        """Span-scaled defaults: initial step 1e-3 of the span, step bounds
-        [1e-14, 0.1] of the span."""
-        if span_length <= 0.0:
-            raise InvalidSpan("span length must be positive")
-        return cls(
-            rel_tol=tol,
-            abs_tol=tol,
-            initial_step=1e-3 * span_length,
-            max_step=0.1 * span_length,
-            min_step=1e-14 * span_length,
-        )
 
 
 @dataclass(frozen=True)
@@ -109,10 +86,10 @@ class StepResult:
 _RHS_FAILURES = (RecipGeoError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-def _retreat(h: float, cfg: IntegratorConfig) -> StepResult:
+def _retreat(h: float) -> StepResult:
     """The rejection of a step with no usable error estimate (a non-finite
     or failed stage): the next try is 0.2 |h|."""
-    return StepResult(False, math.inf, max(cfg.min_step, abs(h) * _SHRINK_LIMIT))
+    return StepResult(False, math.inf, abs(h) * _SHRINK_LIMIT)
 
 
 def step(
@@ -120,22 +97,19 @@ def step(
     y: List[float],
     t: float,
     h: float,
-    cfg: IntegratorConfig,
-    k1: Optional[Sequence[float]] = None,
+    tol: float,
+    k1: Sequence[float],
 ) -> Tuple[StepResult, List[float], List[Sequence[float]]]:
-    """One embedded trial step from (t, y) with signed step h.
+    """One embedded trial step from (t, y) with signed step h, given the
+    derivative k1 at (t, y).
 
     Returns the step result plus the order-5 solution at t + h and the seven
     stage derivatives k1..k7, whose last is the derivative at t + h (FSAL;
     both meaningful only when accepted).  The scaled error norm is the max
-    component of |y5 - y4| / (abs_tol + rel_tol |y5|).  A step whose y5 or
-    error is not finite is rejected with next step max(min_step, 0.2 |h|).
+    component of |y5 - y4| / (tol + tol |y5|).  A step whose y5 or error is
+    not finite is rejected with next step 0.2 |h|.  The next step is not yet
+    clamped to the span's step bounds; the driver does that.
     """
-    if k1 is None:
-        try:
-            k1 = rhs(t, y)
-        except _RHS_FAILURES as exc:
-            raise RhsEvaluationFailure(t, str(exc)) from exc
     k = [k1]
     try:
         k.append(rhs(t + _C[1] * h, [yi + h * (0.0 + _A21 * a) for yi, a in zip(y, *k)]))
@@ -152,18 +126,16 @@ def step(
         raise RhsEvaluationFailure(t + _C[len(k)] * h, str(exc), len(k)) from exc
     y5 = [yi + h * (0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * f + _B7 * g)
           for yi, a, b, c, d, e, f, g in zip(y, *k)]
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
     ratios = [abs(h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g))
-              / (atol + rtol * abs(v)) for v, a, b, c, d, e, f, g in zip(y5, *k)]
+              / (tol + tol * abs(v)) for v, a, b, c, d, e, f, g in zip(y5, *k)]
     err = max(ratios, default=0.0)  # NaN only if y5 is not finite
     if not (all(map(math.isfinite, y5)) and math.isfinite(err)):
-        return _retreat(h, cfg), y5, k
+        return _retreat(h), y5, k
     if err == 0.0:
         factor = _GROW_LIMIT
     else:
         factor = min(_GROW_LIMIT, max(_SHRINK_LIMIT, _SAFETY * err**_ORDER_EXP))
-    next_h = min(cfg.max_step, max(cfg.min_step, abs(h) * factor))
-    return StepResult(err <= 1.0, err, next_h), y5, k
+    return StepResult(err <= 1.0, err, abs(h) * factor), y5, k
 
 
 @dataclass
@@ -197,10 +169,15 @@ def integrate(
     rhs: Rhs,
     y0: np.ndarray,
     span: Tuple[float, float],
-    cfg: Optional[IntegratorConfig] = None,
+    tol: float = 1e-10,
     stop: Optional[Callable[[float, List[float]], Optional[object]]] = None,
 ) -> RawSolution:
-    """Drive the embedded pair across the span (either direction).
+    """Drive the embedded pair across the span (either direction) with
+    relative and absolute tolerance `tol`.
+
+    The first trial step is FIRST_STEP of the span length, every next step
+    is clamped to [MIN_STEP, MAX_STEP] of it, and a run ends with status
+    "maxsteps" after MAX_STEPS trial steps.
 
     The stop predicate is evaluated at the initial state and after every
     accepted step; a non-None value halts with status "stopped".  A failed
@@ -211,10 +188,11 @@ def integrate(
     t0, t1 = float(span[0]), float(span[1])
     if t1 == t0:
         raise InvalidSpan("span must have nonzero length")
+    if not 0.0 < tol < math.inf:
+        raise InvalidSpan("tolerances must be positive and finite")
     direction = 1.0 if t1 > t0 else -1.0
     length = abs(t1 - t0)
-    if cfg is None:
-        cfg = IntegratorConfig.for_span(length)
+    min_step, max_step = MIN_STEP * length, MAX_STEP * length
 
     y = np.asarray(y0, dtype=float).tolist()
     t = t0
@@ -231,9 +209,9 @@ def integrate(
     nfev = 1
     status = "span"
     reason = None if stop is None else stop(t, y)
-    h = cfg.initial_step
+    h = FIRST_STEP * length
     while reason is None and (t - t1) * direction < 0.0:
-        if accepted + rejected >= cfg.max_steps:
+        if accepted + rejected >= MAX_STEPS:
             status = "maxsteps"
             break
         remaining = abs(t1 - t)
@@ -241,17 +219,17 @@ def integrate(
             break  # span resolved to machine precision
         h_try = min(h, remaining)
         try:
-            result, y_new, k = step(rhs, y, t, direction * h_try, cfg, k1=f)
+            result, y_new, k = step(rhs, y, t, direction * h_try, tol, f)
             nfev += 6
         except RhsEvaluationFailure as exc:
             nfev += exc.stage
-            result = _retreat(h_try, cfg)
+            result = _retreat(h_try)
+        h = min(max_step, max(min_step, result.next_step))
         if not result.accepted:
             rejected += 1
-            if h_try <= cfg.min_step * (1.0 + 1e-12):
+            if h_try <= min_step * (1.0 + 1e-12):
                 status = "underflow"
                 break
-            h = result.next_step
             continue
         t = t + direction * h_try
         y, f = y_new, k[6]
@@ -262,7 +240,6 @@ def integrate(
         accepted += 1
         if stop is not None:
             reason = stop(t, y)
-        h = result.next_step
     if reason is not None:
         status = "stopped"
     # (M, 7, n) stage derivatives -> (M, n, 4) dense-output matrices

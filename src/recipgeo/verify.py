@@ -17,6 +17,7 @@ import numpy as np
 
 from . import connection, core, flows, geodesics, hessian, infogeo
 from .core import Chart, ChartPoint, WeightVector
+from .geodesics import TerminationReason
 from .tolerances import deviation, matrix_deviation
 
 
@@ -77,8 +78,7 @@ def _admissible_xy(rng: np.random.Generator):
     while True:
         w = _random_weights(rng, 2)
         x, y = np.exp(rng.uniform(-1.2, 1.2, 2))
-        ctx = connection.SingularContext.from_xy(w.a, w.b, x, y)
-        if abs(ctx.Delta) >= 0.05:
+        if abs(connection.delta(w.a, w.b, connection.z_xy(w.a, w.b, x, y))) >= 0.05:
             return w, float(x), float(y)
 
 
@@ -192,29 +192,27 @@ def suite_ricci(seed: int = 0) -> SuiteResult:
     )
 
 
-_VALID_TERMINATIONS = frozenset(geodesics.TerminationReason)
-
-
 def suite_residual(seed: int = 0) -> SuiteResult:
     """The two reference Levi-Civita geodesics: their rotated-chart residual
-    away from the singular guard, and sound termination reporting."""
+    away from the singular guard, and the termination each must report
+    (run 1 reaches R = 1 inside its span, run 2 completes it)."""
     ok = True
     worst = 0.0
     checks = 0
     runs = (
-        (1 / 3, 1 / 2, (4.0, 2.0), (-1.0, 1.0), (0.0, 8.0)),
-        (-2.0, 1.0, (1.0, 2.0), (-1.0, 3.0), (0.0, 4.0)),
+        (1 / 3, 1 / 2, (4.0, 2.0), (-1.0, 1.0), (0.0, 8.0), TerminationReason.SINGULARITY_REACHED),
+        (-2.0, 1.0, (1.0, 2.0), (-1.0, 3.0), (0.0, 4.0), TerminationReason.SPAN_COMPLETE),
     )
     notes = []
-    for a, b, x0, v0, span in runs:
+    for a, b, x0, v0, span, expected in runs:
         state = geodesics.GeodesicState(Chart.RATIO, np.array(x0), np.array(v0), span[0])
         traj = geodesics.integrate_geodesic(state, a, b, span, tol=1e-10)
         res = geodesics.qr_residual(traj, a, b)
-        kept = np.abs(connection.SingularContext.from_xy(a, b, *traj.positions.T).Delta) > 1e-3
+        kept = np.abs(connection.delta(a, b, connection.z_xy(a, b, *traj.positions.T))) > 1e-3
         max_res = float(np.max(res[kept]))
         worst = max(worst, max_res)
         ok &= max_res <= 1e-8
-        ok &= traj.termination in _VALID_TERMINATIONS
+        ok &= traj.termination is expected
         checks += int(np.sum(kept))
         notes.append(traj.termination.value)
     return SuiteResult("qr_residual", bool(ok), worst, 1e-8, checks, note=";".join(notes))

@@ -8,12 +8,16 @@ import pytest
 from recipgeo import (
     Chart,
     ChartPoint,
-    SingularContext,
+    TerminationReason,
     WeightVector,
     cost_log,
+    delta,
     flows,
+    geodesics,
     lc_christoffel_st,
     lc_christoffel_xy,
+    verify,
+    z_xy,
 )
 from recipgeo.cli import _json_safe, main
 
@@ -113,9 +117,9 @@ class TestChristoffel:
         if chart == "ratio":
             gamma = lc_christoffel_xy(a, b, *p).as_array()
             names = "xy"
-            ctx = SingularContext.from_xy(a, b, *p)
-            assert float(table.pop("Z")) == ctx.Z
-            assert float(table.pop("Delta")) == ctx.Delta
+            Z = z_xy(a, b, *p)
+            assert float(table.pop("Z")) == Z
+            assert float(table.pop("Delta")) == delta(a, b, Z)
         else:
             gamma = lc_christoffel_st(a, b, *p).as_array()
             names = "st"
@@ -352,6 +356,19 @@ class TestBadInput:
         assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
+        ["flow", "--alpha", "1,-1", "--point", "2,2", "--span", "0,1", "--tol", "0"],
+        ["geodesic", "--alpha", "1,1", "--state", "1,1,1,0", "--span", "0,1", "--tol", "0"],
+        ["flow", "--alpha", "1,-1", "--point", "2,2", "--span", "0,1", "--tol=-1e-8"],
+        ["geodesic", "--alpha", "1,1", "--state", "1,1,1,0", "--span", "0,1", "--tol=-1e-8"],
+    ], ids=["converged-flow-0", "singular-geodesic-0", "converged-flow-negative", "singular-geodesic-negative"])
+    def test_nonpositive_tol_exits_2(self, capsys, argv):
+        # checked before the run, so also where it would stop at its start
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
         ["geodesic", "--alpha", f"{1/3},{1/2}", "--state", "4,2,-1,1", "--span", "0,8", "--samples", "0"],
         ["geodesic", "--alpha", "1,1", "--type", "affine", "--state", "1,1,-1,0", "--span", "0,5",
          "--samples", "1"],
@@ -448,6 +465,25 @@ class TestVerify:
             "--output", str(tmp_path / "p.txt"),
         ])
         assert code == 1
+
+    def test_residual_suite_checks_terminations(self, monkeypatch):
+        # reference run 1 must end on the singular set: the same run
+        # reported as a step underflow fails the suite
+        integrate = geodesics.integrate_geodesic
+        runs = []
+
+        def underflowing(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            runs.append(traj)
+            if len(runs) == 1:
+                traj.termination = TerminationReason.STEP_UNDERFLOW
+            return traj
+
+        monkeypatch.setattr(geodesics, "integrate_geodesic", underflowing)
+        result = verify.suite_residual()
+        assert len(runs) == 2
+        assert not result.passed
+        assert result.note == "step_underflow;span_complete"
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

@@ -8,11 +8,11 @@ from recipgeo import (
     Chart,
     ChartPoint,
     ChristoffelTensor,
-    SingularContext,
     WeightVector,
     affine_connection,
     christoffel_from_metric,
     curvature_from_christoffel,
+    delta,
     hessian_ratio,
     lc_christoffel_st,
     lc_christoffel_xy,
@@ -20,6 +20,7 @@ from recipgeo import (
     pullback,
     ricci_q,
     ricci_xy,
+    z_xy,
 )
 from recipgeo.errors import SingularLocus, SingularMetric, ZeroExponent
 
@@ -36,18 +37,18 @@ def log_metric(w):
     )
 
 
-class TestSingularContext:
+class TestDelta:
     def test_delta_roots(self):
         a, b = 1 / 3, 1 / 2
-        ctx = SingularContext.from_Z(a, b, 1.0)
-        assert ctx.Delta == 0.0
+        assert delta(a, b, 1.0) == 0.0
         z_star = -(a + b + 1.0) / (a + b - 1.0)
-        assert abs(SingularContext.from_Z(a, b, z_star).Delta) < 1e-14
+        assert abs(delta(a, b, z_star)) < 1e-14
 
     def test_q_consistency(self):
-        ctx1 = SingularContext.from_q(0.4, -0.2, 0.7)
-        ctx2 = SingularContext.from_Z(0.4, -0.2, math.exp(1.4))
-        assert_close(ctx1.Delta, ctx2.Delta, 1e-14)
+        # Z = e^{2q} with q = a log x + b log y
+        a, b, x, y = 0.4, -0.2, 2.5, 0.8
+        q = a * math.log(x) + b * math.log(y)
+        assert_close(delta(a, b, z_xy(a, b, x, y)), delta(a, b, math.exp(2.0 * q)), 1e-14)
 
 
 class TestChristoffelXY:
@@ -55,7 +56,7 @@ class TestChristoffelXY:
         for _ in range(25):
             a, b = rng.uniform(0.2, 1.2, 2) * np.where(rng.uniform(size=2) < 0.5, -1, 1)
             x, y = np.exp(rng.uniform(-1.0, 1.0, 2))
-            if abs(SingularContext.from_xy(a, b, x, y).Delta) < 0.05:
+            if abs(delta(a, b, z_xy(a, b, x, y))) < 0.05:
                 continue
             w = WeightVector(np.array([a, b]))
             closed = lc_christoffel_xy(a, b, x, y)
@@ -160,7 +161,7 @@ class TestRicci:
         float call, NaN wherever the float call raises SingularLocus."""
         a, b = 1 / 3, 1 / 2
         x = np.exp(np.linspace(-3.0, 3.0, 41))
-        Z = SingularContext.from_xy(a, b, *np.meshgrid(x, x, indexing="ij"), xp=np).Z
+        Z = z_xy(a, b, *np.meshgrid(x, x, indexing="ij"), xp=np)
         ricci = ricci_xy(a, b, Z)
         assert np.isnan(ricci[17, 22])  # log x = -0.45, log y = 0.3: on R = 1
         singular = 0

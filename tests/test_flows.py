@@ -197,7 +197,7 @@ class TestIntegrateFlow:
         assert 6e-14 <= traj.h_min < traj.h_max <= 0.6
         start = integrate_flow(np.array([2.0, 2.0]), WeightVector(np.array([0.5, -0.5])),
                                FlowSign.DESCENT, (0.0, 4.0))
-        assert (start.nfev, start.accepted) == (0, 0)
+        assert (start.nfev, start.accepted) == (1, 0)
         assert math.isnan(start.h_min) and math.isnan(start.h_max)
 
     def test_too_few_samples(self):

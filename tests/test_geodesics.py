@@ -8,13 +8,13 @@ from recipgeo import (
     Chart,
     ChartPoint,
     GeodesicState,
-    SingularContext,
     TerminationReason,
     WeightVector,
     affine_geodesic_log,
     affine_geodesic_ratio,
     affine_trajectory,
     cost_log,
+    delta,
     hessian_ratio,
     integrate_geodesic,
     lc_christoffel_xy,
@@ -24,6 +24,7 @@ from recipgeo import (
     qr_residual,
     radical_basis,
     tangent_constraints,
+    z_xy,
 )
 from recipgeo import flows, geodesics
 from recipgeo.connection import EPS_SINGULAR
@@ -146,7 +147,7 @@ class TestLcRhs:
         for _ in range(50):
             a, b = rng.uniform(0.2, 1.2, 2) * np.where(rng.uniform(size=2) < 0.5, -1, 1)
             x, y = np.exp(rng.uniform(-1, 1, 2))
-            if abs(SingularContext.from_xy(a, b, x, y).Delta) < 0.05:
+            if abs(delta(a, b, z_xy(a, b, x, y))) < 0.05:
                 continue
             v = rng.uniform(-2, 2, 2)
             st = GeodesicState(Chart.RATIO, [x, y], v, 0.0)
@@ -182,7 +183,7 @@ class TestLcRhs:
             q = a * math.log(x) + b * math.log(y)
             if abs(math.sinh(q)) < 0.1 or abs((a + b) * math.cosh(q) - math.sinh(q)) < 0.05:
                 continue
-            if abs(SingularContext.from_xy(a, b, x, y).Delta) < 0.05:
+            if abs(delta(a, b, z_xy(a, b, x, y))) < 0.05:
                 continue
             vx, vy = rng.uniform(-1.5, 1.5, 2)
             lx, ly = vx / x, vy / y
@@ -202,7 +203,7 @@ def _row_cases(rng):
     the one-point call raises."""
     a, b = 0.7, -0.7
     x, y = np.exp(rng.uniform(-1.2, 1.2, (2, 200)))
-    keep = np.abs(SingularContext.from_xy(a, b, x, y).Delta) >= 0.05
+    keep = np.abs(delta(a, b, z_xy(a, b, x, y))) >= 0.05
     x, y = np.append(x[keep], 1.3), np.append(y[keep], 1.3)  # x = y, a = -b: Z = 1 exactly
     xy_rows = np.column_stack([x, y, rng.uniform(-2.0, 2.0, (x.size, 2))])
 
@@ -263,7 +264,7 @@ class TestIntegrateGeodesic:
         traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=1e-10)
         assert traj.termination is TerminationReason.SINGULARITY_REACHED
         res = qr_residual(traj, 1 / 3, 1 / 2)
-        deltas = np.array([SingularContext.from_xy(1 / 3, 1 / 2, x, y).Delta for x, y in traj.positions])
+        deltas = np.array([delta(1 / 3, 1 / 2, z_xy(1 / 3, 1 / 2, x, y)) for x, y in traj.positions])
         assert np.max(res[np.abs(deltas) > 1e-3]) <= 1e-8
 
     def test_reference_run_two(self):
@@ -271,7 +272,7 @@ class TestIntegrateGeodesic:
         traj = integrate_geodesic(st, -2.0, 1.0, (0.0, 4.0), tol=1e-10)
         assert traj.termination is TerminationReason.SPAN_COMPLETE
         res = qr_residual(traj, -2.0, 1.0)
-        deltas = np.array([SingularContext.from_xy(-2.0, 1.0, x, y).Delta for x, y in traj.positions])
+        deltas = np.array([delta(-2.0, 1.0, z_xy(-2.0, 1.0, x, y)) for x, y in traj.positions])
         assert np.max(res[np.abs(deltas) > 1e-3]) <= 1e-8
 
     def test_lambda_monotone(self):
@@ -344,10 +345,10 @@ class TestIntegrateGeodesic:
         # for bit, wherever the rhs is defined (|Delta| >= EPS_SINGULAR)
         traj = integrate_geodesic(GeodesicState(Chart.RATIO, *state, span[0]), a, b, span)
         assert traj.termination is not TerminationReason.SPAN_COMPLETE
-        delta = SingularContext.from_xy(a, b, *traj.positions.T).Delta
-        assert np.min(np.abs(delta)) < geodesics.DELTA_STOP
+        deltas = delta(a, b, z_xy(a, b, *traj.positions.T))
+        assert np.min(np.abs(deltas)) < geodesics.DELTA_STOP
         checked = 0
-        for lam, x, v, acc, d in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations, delta):
+        for lam, x, v, acc, d in zip(traj.lambdas, traj.positions, traj.velocities, traj.accelerations, deltas):
             if abs(d) >= EPS_SINGULAR:
                 np.testing.assert_array_equal(acc, lc_rhs_xy(GeodesicState(Chart.RATIO, x, v, lam), a, b))
                 checked += 1
@@ -366,7 +367,7 @@ class TestIntegrateGeodesic:
         st = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
         traj = integrate_geodesic(st, 1 / 3, 1 / 2, (0.0, 8.0), tol=1e-10)
         assert traj.termination is TerminationReason.SINGULARITY_REACHED
-        d = SingularContext.from_xy(1 / 3, 1 / 2, *traj.positions[-1]).Delta
+        d = delta(1 / 3, 1 / 2, z_xy(1 / 3, 1 / 2, *traj.positions[-1]))
         assert abs(d) < geodesics.DELTA_STOP
 
     def test_reference_run_one_stop_is_stable_in_tol(self):
@@ -435,7 +436,7 @@ class TestQrResidual:
         traj = integrate_geodesic(sq, a, b, (0.0, 4.0), tol=1e-10)
         assert traj.termination is ratio.termination
         res = qr_residual(traj, a, b)
-        deltas = np.array([SingularContext.from_q(a, b, q).Delta for q in traj.positions[:, 0]])
+        deltas = np.array([delta(a, b, math.exp(2.0 * q)) for q in traj.positions[:, 0]])
         far = np.abs(deltas) > 1e-3
         assert far.sum() > 400
         assert np.max(res[far]) <= 1e-8

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from recipgeo import ode
+from recipgeo import FlowSign, TerminationReason, WeightVector, integrate_flow, ode
 from recipgeo.errors import InvalidSpan, OutOfSpan, RhsEvaluationFailure
 
 
@@ -17,7 +17,7 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def reference_step(rhs, y, t, h, cfg, k1):
+def reference_step(rhs, y, t, h, tol, k1):
     """The trial step as numpy evaluates it: each weighted sum of stages is
     one product and one reduction over the stage axis from 0.0, which adds
     the terms in stage order."""
@@ -34,11 +34,11 @@ def reference_step(rhs, y, t, h, cfg, k1):
     y5 = y + h * weighted(ode._B, k)
     err_vec = h * weighted(ode._E, k)
     with np.errstate(invalid="ignore", over="ignore"):
-        err = float(np.max(np.abs(err_vec) / (cfg.abs_tol + cfg.rel_tol * np.abs(y5))))
+        err = float(np.max(np.abs(err_vec) / (tol + tol * np.abs(y5))))
     if not np.all(np.isfinite(y5)) or not math.isfinite(err):
-        return ode.StepResult(False, math.inf, max(cfg.min_step, abs(h) * 0.2)), y5, k
+        return ode.StepResult(False, math.inf, abs(h) * 0.2), y5, k
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
-    return ode.StepResult(err <= 1.0, err, min(cfg.max_step, max(cfg.min_step, abs(h) * factor))), y5, k
+    return ode.StepResult(err <= 1.0, err, abs(h) * factor), y5, k
 
 
 def coupled_rhs(t, y):
@@ -57,7 +57,6 @@ class TestStepBits:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_matches_numpy_reference(self, n, direction, rng):
-        cfg = ode.IntegratorConfig.for_span(2.0, tol=1e-9)
         outcomes = set()
         for trial in range(40):
             y = rng.uniform(-2.0, 2.0, n)
@@ -65,8 +64,8 @@ class TestStepBits:
             t = float(rng.uniform(-1.0, 1.0))
             h = direction * float(10.0 ** rng.uniform(-4.0, 0.0))
             k1 = coupled_rhs(t, y.tolist())
-            got, y5, k = ode.step(coupled_rhs, y.tolist(), t, h, cfg, k1=k1)
-            want, y5_ref, k_ref = reference_step(coupled_rhs, y, t, h, cfg, k1)
+            got, y5, k = ode.step(coupled_rhs, y.tolist(), t, h, 1e-9, k1=k1)
+            want, y5_ref, k_ref = reference_step(coupled_rhs, y, t, h, 1e-9, k1)
             assert isinstance(y5, list) and len(k) == 7
             np.testing.assert_array_equal(bits(y5), bits(y5_ref))
             np.testing.assert_array_equal(bits(k), bits(k_ref))
@@ -102,34 +101,31 @@ class TestNonFiniteStages:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("h", [0.05, -0.05])
     def test_rejected_with_shrunk_step(self, stage, value, h):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
         y = [1.0, -0.5, 2.0]
-        result, _, _ = ode.step(failing_at_call(stage, value), y, 0.0, h, cfg, k1=[-v for v in y])
+        result, _, _ = ode.step(failing_at_call(stage, value), y, 0.0, h, 1e-8, k1=[-v for v in y])
         assert not result.accepted
         assert result.error_estimate == math.inf
-        assert result.next_step == max(cfg.min_step, 0.2 * abs(h))
+        assert result.next_step == 0.2 * abs(h)
 
     @pytest.mark.parametrize("stage", range(1, 7))
     def test_raising_stage(self, stage):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
         h = -0.05
         with pytest.raises(RhsEvaluationFailure) as exc:
-            ode.step(failing_at_call(stage, OverflowError("boom")), [1.0], 0.25, h, cfg, k1=[-1.0])
+            ode.step(failing_at_call(stage, OverflowError("boom")), [1.0], 0.25, h, 1e-8, k1=[-1.0])
         assert exc.value.stage == stage
         assert exc.value.param == 0.25 + ode._C[stage] * h
         assert isinstance(exc.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, OverflowError("boom")])
     def test_driver_recovers(self, value):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
-        clean = ode.integrate(failing_at_call(0, value), np.array([1.0, 2.0]), (0.0, 1.0), cfg)  # no call 0
-        sol = ode.integrate(failing_at_call(40, value), np.array([1.0, 2.0]), (0.0, 1.0), cfg)
+        clean = ode.integrate(failing_at_call(0, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)  # no call 0
+        sol = ode.integrate(failing_at_call(40, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)
         assert sol.status == "span" and sol.t_end == 1.0
         assert sol.rejected == clean.rejected + 1
         np.testing.assert_allclose(sol.ys[-1], np.exp(-1.0) * np.array([1.0, 2.0]), rtol=1e-9)
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, ZeroDivisionError("wall")])
-    def test_driver_underflows_at_a_wall(self, value):
+    def test_driver_underflows_at_a_wall(self, value, monkeypatch):
         # every stage past t = 0.5 fails: the steps shrink onto the wall and
         # the run ends by underflow just short of it, in a bounded number of steps
         def rhs(t, y):
@@ -139,11 +135,11 @@ class TestNonFiniteStages:
                 return [value] * len(y)
             return [1.0] * len(y)
 
-        cfg = ode.IntegratorConfig(max_steps=20_000)
-        sol = ode.integrate(rhs, np.zeros(2), (0.0, 1.0), cfg)
+        monkeypatch.setattr(ode, "MAX_STEPS", 20_000)
+        sol = ode.integrate(rhs, np.zeros(2), (0.0, 1.0))
         assert sol.status == "underflow"
         assert 0.5 - 1e-12 <= sol.t_end <= 0.5
-        assert sol.rejected > 0 and sol.accepted + sol.rejected < cfg.max_steps
+        assert sol.rejected > 0 and sol.accepted + sol.rejected < ode.MAX_STEPS
 
 
 class TestObservability:
@@ -162,8 +158,7 @@ class TestObservability:
 
     def test_nfev_with_rejections(self):
         rhs, calls = self.counted(lambda t, y: [-50.0 * y[0], math.cos(t) * y[1]])
-        cfg = ode.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, initial_step=0.5, max_step=1.0)
-        sol = ode.integrate(rhs, np.array([1.0, 1.0]), (0.0, 3.0), cfg)
+        sol = ode.integrate(rhs, np.array([1.0, 1.0]), (0.0, 3.0), 1e-8)
         assert sol.rejected > 0
         assert sol.nfev == calls[0] == 1 + 6 * (sol.accepted + sol.rejected)
 
@@ -180,30 +175,27 @@ class TestObservability:
         assert sol.ys.shape == (1, 1) and sol.qs.shape == (0, 1, 4)
 
     def test_step_range(self):
-        cfg = ode.IntegratorConfig.for_span(10.0, tol=1e-10)
-        sol = ode.integrate(lambda t, y: [y[1], -y[0]], np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+        sol = ode.integrate(lambda t, y: [y[1], -y[0]], np.array([1.0, 0.0]), (0.0, 10.0), 1e-10)
         steps = np.abs(np.diff(sol.ts))
         assert sol.h_min == steps.min()
         assert sol.h_max == steps.max()
-        assert cfg.min_step <= sol.h_min < sol.h_max <= cfg.max_step
+        assert ode.MIN_STEP * 10.0 <= sol.h_min < sol.h_max <= ode.MAX_STEP * 10.0
 
 
 class TestStepAndDriver:
     def test_exponential_growth(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-10)
         assert sol.status == "span"
         assert abs(sol.ys[-1][0] - math.e) < 1e-9
 
     def test_constant_rhs_all_accepted_at_max_step(self):
-        cfg = ode.IntegratorConfig.for_span(10.0, tol=1e-10)
-        sol = ode.integrate(lambda t, y: np.zeros(2), np.array([3.0, -1.0]), (0.0, 10.0), cfg)
+        sol = ode.integrate(lambda t, y: np.zeros(2), np.array([3.0, -1.0]), (0.0, 10.0), 1e-10)
         assert sol.rejected == 0
         np.testing.assert_array_equal(sol.ys[-1], [3.0, -1.0])
         # after the ramp-up every interior step runs at max_step
         diffs = np.diff(sol.ts)
-        assert np.max(diffs) <= cfg.max_step * (1.0 + 1e-12)
-        assert np.sum(np.abs(diffs - cfg.max_step) < 1e-9) >= 7
+        assert np.max(diffs) <= ode.MAX_STEP * 10.0 * (1.0 + 1e-12)
+        assert np.sum(np.abs(diffs - ode.MAX_STEP * 10.0) < 1e-9) >= 7
 
     def test_harmonic_oscillator_energy(self):
         w0 = 2.0 * math.pi
@@ -211,8 +203,7 @@ class TestStepAndDriver:
         def rhs(t, y):
             return np.array([y[1], -w0 * w0 * y[0]])
 
-        cfg = ode.IntegratorConfig.for_span(10.0, tol=1e-10)
-        sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+        sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, 10.0), 1e-10)
         energy = lambda y: 0.5 * (y[1] ** 2 + w0 * w0 * y[0] ** 2)
         drift = abs(energy(sol.ys[-1]) - energy(sol.ys[0])) / energy(sol.ys[0])
         assert drift <= 1e-6
@@ -222,16 +213,14 @@ class TestStepAndDriver:
         # (tolerances tight enough that max_step is not the binding limit)
         errs = []
         for tol in (1e-10, 1e-10 / 32.0):
-            cfg = ode.IntegratorConfig.for_span(1.0, tol=tol)
-            sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+            sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), tol)
             errs.append(abs(sol.ys[-1][0] - math.e))
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 200.0
 
     def test_deterministic(self):
-        cfg = ode.IntegratorConfig.for_span(2.0, tol=1e-9)
         rhs = lambda t, y: np.array([math.sin(t) * y[0], -y[1] * y[0]])
-        sols = [ode.integrate(rhs, np.array([1.0, 0.5]), (0.0, 2.0), cfg) for _ in range(2)]
+        sols = [ode.integrate(rhs, np.array([1.0, 0.5]), (0.0, 2.0), 1e-9) for _ in range(2)]
         assert sols[0].ts == sols[1].ts
         for y1, y2 in zip(sols[0].ys, sols[1].ys):
             np.testing.assert_array_equal(y1, y2)
@@ -241,14 +230,13 @@ class TestStepAndDriver:
         # collections in the middle of long runs; the driver keeps flat
         # lists of floats, so the objects the collector tracks during a run
         # do not grow with its length.
-        cfg = ode.IntegratorConfig.for_span(50.0, tol=1e-10)
         rhs = lambda t, y: [y[1], -y[0]]
         counts = []
         stop = lambda t, y: counts.append(gc.get_count()[0])
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, 50.0), cfg, stop=stop)
+            sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, 50.0), 1e-10, stop=stop)
         finally:
             if was_enabled:
                 gc.enable()
@@ -256,8 +244,7 @@ class TestStepAndDriver:
         assert max(counts) - counts[0] < 20
 
     def test_backward_span(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, -1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, -1.0), 1e-10)
         assert abs(sol.ys[-1][0] - math.exp(-1.0)) < 1e-9
 
     def test_zero_span_rejected(self):
@@ -271,10 +258,19 @@ class TestStepAndDriver:
         with pytest.raises(RhsEvaluationFailure):
             ode.integrate(bad, np.array([1.0]), (0.0, 1.0))
 
+    def test_max_steps(self, monkeypatch):
+        # a run ends after MAX_STEPS trial steps, and its trajectory says so
+        monkeypatch.setattr(ode, "MAX_STEPS", 5)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0))
+        assert sol.status == "maxsteps" and sol.accepted + sol.rejected == 5
+        w = WeightVector(np.array([0.5, 0.5]))
+        traj = integrate_flow(np.array([1.2, 0.8]), w, FlowSign.DESCENT, (0.0, 3.0))
+        assert traj.termination is TerminationReason.MAX_STEPS
+        assert traj.accepted + traj.rejected == 5
+
     def test_stop_predicate(self):
-        cfg = ode.IntegratorConfig.for_span(10.0, tol=1e-10)
         stop = lambda t, y: "past" if y[0] > 2.0 else None
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 10.0), cfg, stop=stop)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 10.0), 1e-10, stop=stop)
         assert sol.status == "stopped"
         assert sol.stop_reason == "past"
         assert sol.ys[-1][0] > 2.0
@@ -283,30 +279,26 @@ class TestStepAndDriver:
 
 class TestDenseOutput:
     def test_endpoint_exact(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-10)
         got = ode.dense_sample(sol, [sol.ts[3]])[0]
         np.testing.assert_array_equal(got, sol.ys[3])
 
     def test_midpoint_accuracy(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-10)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-10)
         queries = np.linspace(0.0, 1.0, 101)
         states = ode.dense_sample(sol, queries)
         worst = max(abs(s[0] - math.exp(q)) for q, s in zip(queries, states))
         assert worst <= 1e-8
 
     def test_empty_queries(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-8)
         assert ode.dense_sample(sol, []).shape == (0, 1)
 
     def test_backward_span_nodes_and_extension(self):
         # descending ts: nodes come back exactly, and between them the
         # quartic extension of the step that holds the query
-        cfg = ode.IntegratorConfig.for_span(1.5, tol=1e-10)
         rhs = lambda t, y: np.array([y[1], -y[0]])
-        sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, -1.5), cfg)
+        sol = ode.integrate(rhs, np.array([1.0, 0.0]), (0.0, -1.5), 1e-10)
         ts = np.asarray(sol.ts)
         assert np.all(np.diff(ts) < 0.0)
         np.testing.assert_array_equal(ode.dense_sample(sol, ts), np.asarray(sol.ys))
@@ -321,15 +313,13 @@ class TestDenseOutput:
         np.testing.assert_allclose(got[:, 0], np.cos(mids), rtol=0, atol=1e-8)
 
     def test_out_of_span(self):
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
-        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-8)
         with pytest.raises(OutOfSpan):
             ode.dense_sample(sol, [1.5])
 
     def test_extension_meets_next_node(self):
         # the quartic extension of each step ends at the accepted order-5 state
-        cfg = ode.IntegratorConfig.for_span(1.0, tol=1e-8)
-        sol = ode.integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), (0.0, 1.0), cfg)
+        sol = ode.integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-8)
         assert len(sol.qs) == len(sol.ts) - 1 == sol.accepted
         for i, q in enumerate(sol.qs):
             h = sol.ts[i + 1] - sol.ts[i]
@@ -337,19 +327,13 @@ class TestDenseOutput:
 
 
 class TestConfig:
-    def test_invalid_bounds(self):
-        with pytest.raises(InvalidSpan):
-            ode.IntegratorConfig(min_step=1.0, initial_step=0.1, max_step=10.0)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
     def test_tolerance_positive_and_finite(self, tol):
         with pytest.raises(InvalidSpan):
-            ode.IntegratorConfig(rel_tol=tol)
-        with pytest.raises(InvalidSpan):
-            ode.IntegratorConfig.for_span(1.0, tol=tol)
+            ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), tol)
 
     def test_span_scaling(self):
-        cfg = ode.IntegratorConfig.for_span(4.0, tol=1e-9)
-        assert cfg.initial_step == 4e-3
-        assert cfg.max_step == 0.4
-        assert cfg.min_step == 4e-14
+        # the first step is 1e-3 of the span and no step exceeds 0.1 of it
+        sol = ode.integrate(lambda t, y: [0.0], np.array([1.0]), (0.0, 4.0), 1e-9)
+        assert sol.ts[1] - sol.ts[0] == 4e-3
+        assert sol.h_max <= 0.4 * (1.0 + 1e-12)  # h_max is a difference of params
