@@ -259,6 +259,14 @@ def _geodesic_table(traj, a: float, b: float) -> Dict[str, np.ndarray]:
             "q": qr[:, 0], "r": qr[:, 1], "J": J, "Delta": delta, "residual": residuals}
 
 
+def _run_meta(traj: geodesics.Trajectory) -> dict:
+    """Why a trajectory stopped and what its integration cost; every value
+    is deterministic.  h_min/h_max are NaN (null) where nothing was
+    integrated."""
+    return {"termination": traj.termination.value, "accepted": traj.accepted, "rejected": traj.rejected,
+            "nfev": traj.nfev, "h_min": traj.h_min, "h_max": traj.h_max, "lam_end": float(traj.lambdas[-1])}
+
+
 def cmd_geodesic(args) -> int:
     w = _weights(args)
     span = _parse_span(args.span)
@@ -295,9 +303,7 @@ def cmd_geodesic(args) -> int:
                  "J": core.cost_ratio_rows(traj.positions, w)}
     meta = {
         "alpha": list(map(float, w.alpha)),
-        "termination": traj.termination.value,
-        "accepted": traj.accepted,
-        "rejected": traj.rejected,
+        **_run_meta(traj),
         "tol": args.tol,
         "span": [span[0], span[1]],
         "type": args.type,
@@ -337,11 +343,9 @@ def cmd_flow(args) -> int:
     meta = {
         "alpha": list(map(float, w.alpha)),
         "sign": args.sign,
-        "termination": traj.termination.value,
+        **_run_meta(traj),
         "C": sol.C,
         "tau_star": tau_star,
-        "accepted": traj.accepted,
-        "rejected": traj.rejected,
         "tol": args.tol,
     }
     _emit(args, table, meta)

@@ -5,6 +5,9 @@ scalar S = alpha . t obeys dS/dtau = +-|alpha|^2 sinh S with the closed-form
 solution S(tau) = 2 artanh(C e^{+-|alpha|^2 tau}), C = tanh(S0/2), while all
 projections onto the radical distribution are conserved.  Descent decays to
 the zero-cost leaf; ascent blows up at tau* = -ln|C| / |alpha|^2.
+
+integrate_flow therefore integrates the one scalar equation in S and
+rebuilds the positions as t = t0 + (S - S0) / |alpha|^2 alpha, whatever n.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _coords(t, w: WeightVector) -> np.ndarray:
 
 def gradient_field(t, w: WeightVector, sign: FlowSign) -> np.ndarray:
     """+-alpha sinh(alpha . t): everywhere parallel to alpha."""
-    return np.array(_flow_velocity(_coords(t, w), w.alpha, sign.value))
+    return _flow_velocity(_coords(t, w), w.alpha, sign.value)
 
 
 def cost_rate(t, w: WeightVector, sign: FlowSign) -> float:
@@ -126,6 +129,10 @@ def integrate_flow(
 ) -> Trajectory:
     """Numerical gradient flow in log coordinates.
 
+    The integrator runs on the one scalar S = alpha . t, dS/dtau =
+    +-|alpha|^2 sinh S, from S0 = alpha . t0, and the sampled positions are
+    rebuilt as t0 + (S - S0) / |alpha|^2 alpha, so the radical projections
+    are conserved by construction and the steps taken do not depend on n.
     Descent halts with CONVERGED once |S| < 1e-12; ascent halts with BLOWUP
     once |S| exceeds 20, just short of the finite horizon.  Samples record
     position, velocity (the gradient field), and the flow acceleration.
@@ -138,23 +145,22 @@ def integrate_flow(
     alpha = w.alpha
     n2 = w.norm_sq
     sgn = sign.value
-
-    def rhs(_tau: float, y: List[float]) -> List[float]:
-        return _flow_velocity(y, alpha, sgn)
+    c = sgn * n2
+    S0 = float(_alpha_dot(arr, alpha)[0])
 
     def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
-        S = float(np.dot(alpha, y))
-        if sign is FlowSign.DESCENT and abs(S) < CONVERGED_S:
+        if sign is FlowSign.DESCENT and abs(y[0]) < CONVERGED_S:
             return TerminationReason.CONVERGED
-        if sign is FlowSign.ASCENT and abs(S) > BLOWUP_S:
+        if sign is FlowSign.ASCENT and abs(y[0]) > BLOWUP_S:
             return TerminationReason.BLOWUP
         return None
 
-    sol = ode.integrate(rhs, arr, (tau0, tau1), tol, stop=stop)
-    return Trajectory.from_solution(
-        sol, Chart.LOG, tau0, samples,
-        lambda ys: (ys, _flow_velocity(ys, alpha, sgn), _flow_accel(ys, alpha, n2)),
-    )
+    def split(S: np.ndarray) -> tuple:
+        ts = arr + (S - S0) / n2 * alpha
+        return ts, _flow_velocity(ts, alpha, sgn), _flow_accel(ts, alpha, n2)
+
+    sol = ode.integrate(lambda _tau, y: [c * math.sinh(y[0])], [S0], (tau0, tau1), tol, stop=stop)
+    return Trajectory.from_solution(sol, Chart.LOG, tau0, samples, split)
 
 
 def _alpha_dot(y, alpha: np.ndarray):
@@ -169,11 +175,9 @@ def _alpha_dot(y, alpha: np.ndarray):
 
 
 def _flow_velocity(y, alpha: np.ndarray, sgn: float):
-    """dt/dtau = +-alpha sinh(S): a list of floats at one point (the
-    integrator's rhs), an (N, n) array at rows (see _alpha_dot)."""
+    """dt/dtau = +-alpha sinh(S), at one point or at rows (see _alpha_dot)."""
     S, xp = _alpha_dot(y, alpha)
-    c = sgn * xp.sinh(S)
-    return [c * a for a in alpha.tolist()] if xp is math else c * alpha
+    return sgn * xp.sinh(S) * alpha
 
 
 def _sinh_cosh(S: float) -> float:

@@ -356,6 +356,9 @@ def integrate_geodesic(
     lam0, lam1 = float(span[0]), float(span[1])
     if lam1 == lam0:
         raise InvalidSpan("span must have nonzero length")
+    # before the start guard, so a bad tol is reported the same from any start
+    if not 0.0 < tol < math.inf:
+        raise InvalidSpan("tolerances must be positive and finite")
     if state0.chart is Chart.RATIO:
         guard = _guard_xy
         accel = lambda y: _accel_xy(a, b, y[0], y[1], y[2], y[3])

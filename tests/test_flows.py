@@ -18,6 +18,7 @@ from recipgeo import (
     integrate_flow,
     radical_basis,
 )
+from recipgeo import flows
 from recipgeo.errors import BlowupTime, InvalidSampleCount
 
 from conftest import assert_close
@@ -244,3 +245,31 @@ class TestDimensionalReduction:
             Sdot = float(np.dot(w.alpha, g))
             assert_close(qdot, w.norm_sq * math.sinh(q), 1e-12)
             assert_close(Sdot, qdot, 1e-14)
+
+    @pytest.mark.parametrize("sign, span", [(FlowSign.DESCENT, (0.0, 2.0)), (FlowSign.ASCENT, (0.0, 5.0))])
+    def test_integration_does_not_depend_on_n(self, sign, span):
+        # |alpha|^2 = 1 and S0 = 1/2 are exact in binary for both flows, so
+        # the one scalar equation they integrate is the same
+        one = integrate_flow(np.array([0.5]), WeightVector(np.array([1.0])), sign, span, samples=64)
+        w4 = WeightVector(np.full(4, 0.5))
+        four = integrate_flow(np.full(4, 0.25), w4, sign, span, samples=64)
+        np.testing.assert_array_equal(one.lambdas, four.lambdas)
+        assert (one.accepted, one.rejected, one.nfev) == (four.accepted, four.rejected, four.nfev)
+        assert (one.h_min, one.h_max) == (four.h_min, four.h_max)
+        S4 = flows._alpha_dot(four.positions, w4.alpha)[0][:, 0]
+        np.testing.assert_allclose(S4, one.positions[:, 0], rtol=1e-15, atol=0.0)
+
+    def test_radical_projections_conserved_by_construction(self, rng):
+        # positions are rebuilt as t0 + (S - S0)/|alpha|^2 alpha, so the
+        # projections move only by the rounding of t
+        for k in range(200):
+            n = (2, 3, 5, 8)[k % 4]
+            sign = FlowSign.ASCENT if k % 5 == 0 else FlowSign.DESCENT
+            w = WeightVector(rng.uniform(0.2, 1.5, n) * np.where(rng.uniform(size=n) < 0.5, -1, 1))
+            t0 = rng.uniform(-3, 3, n)
+            S0 = float(w.alpha @ t0)
+            span = (0.0, 1.5 * blowup_time(S0, w)) if sign is FlowSign.ASCENT else (0.0, 20.0 / w.norm_sq)
+            traj = integrate_flow(t0, w, sign, span, samples=64)
+            r0 = flows.radical_projections(t0, w)
+            drift = float(np.max(np.abs(flows.radical_projections(traj.positions, w) - r0)))
+            assert drift <= 1e-13 * max(1.0, float(np.max(np.abs(traj.positions))))

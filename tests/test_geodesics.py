@@ -310,6 +310,15 @@ class TestIntegrateGeodesic:
         with pytest.raises(InvalidSpan):
             integrate_geodesic(st, 0.5, 0.5, (1.0, 1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_tol_before_start_guard(self, tol):
+        # the same error from a start on R = 1 (a = b = 1) as from an admissible one
+        on_locus = GeodesicState(Chart.RATIO, [1.0, 1.0], [1.0, 0.0], 0.0)
+        admissible = GeodesicState(Chart.RATIO, [4.0, 2.0], [-1.0, 1.0], 0.0)
+        for st, a, b in ((on_locus, 1.0, 1.0), (admissible, 1 / 3, 1 / 2)):
+            with pytest.raises(InvalidSpan):
+                integrate_geodesic(st, a, b, (0.0, 1.0), tol=tol)
+
     def test_too_few_samples(self):
         st = GeodesicState(Chart.RATIO, [2.0, 3.0], [0.1, 0.0], 0.0)
         for samples in (1, 0, -3):

@@ -50,6 +50,10 @@ COMMANDS = [
     "flow --alpha 0.5,0.5 --point 1.2,0.8 --sign ascent --span 1,3 --samples 4",
     # a descent that starts converged: stopped at its initial state
     "flow --alpha 0.5,-0.5 --point 2,2 --span 0,4 --format json",
+    # positions rebuilt from S at higher n: a descent at n = 8, an ascent at n = 5
+    "flow --alpha=0.5,-0.3,0.8,0.2,-0.6,0.4,0.7,-0.1 --point=0.3,1.1,-0.4,0.9,0.2,-1.3,0.6,0.5"
+    " --sign descent --span 0,10 --output flow.csv",
+    "flow --alpha=0.4,-0.7,0.9,0.3,-0.5 --point=1,0.5,0.8,-0.6,-0.2 --sign ascent --span 0,5 --format json",
     # geodesics: Levi-Civita in both charts, affine in both structures
     "geodesic --alpha 0.3333333333333333,0.5 --chart ratio --state 4,2,-1,1 --span 0,8"
     " --residual-output residual.csv",
