@@ -20,7 +20,6 @@ from .core import (
 )
 from .hessian import (
     HessianDecomposition,
-    RadicalBasis,
     SymMatrix,
     decompose,
     det_hessian_ratio,
@@ -72,8 +71,6 @@ from .flows import (
     integrate_flow,
 )
 from .infogeo import (
-    DivergenceKind,
-    DivergenceValue,
     MeanFunction,
     OrderFit,
     bregman,

@@ -181,12 +181,12 @@ def cmd_hessian(args) -> int:
         m = hessian.hessian_ratio(point, w)
     else:
         raise UsageError("hessian runs in the ratio or log chart")
-    dense = m.to_dense()
-    report = {f"h[{i}][{j}]": dense[i, j] for i in range(m.n) for j in range(i, m.n)}
+    dense = m.array
+    report = {f"h[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
     summary = core.cost(point, w)
     s_star = hessian.singular_S(w)
-    report.update(rank=hessian.rank(m), det=m.det(), S=summary.S, J=summary.J, sum_alpha=w.total,
-                  singular_S=s_star)
+    report.update(rank=hessian.rank(m), det=float(np.linalg.det(dense)), S=summary.S, J=summary.J,
+                  sum_alpha=w.total, singular_S=s_star)
     if s_star is not None and s_star == 0.0:
         report["singular_S_coincides_with_zero_cost"] = True
     if chart is Chart.RATIO:
@@ -412,10 +412,10 @@ def cmd_fisher(args) -> int:
     info = infogeo.fisher_info(t, w)
     S = core.cost_log(t, w).S
     mf = infogeo.mean_function(S)
-    dense = info.to_dense()
-    report = {f"I[{i}][{j}]": dense[i, j] for i in range(info.n) for j in range(i, info.n)}
+    dense = info.array
+    report = {f"I[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
     report.update(S=S, m=mf.m, m_prime=mf.m_prime,
-                  hessian_dev=matrix_deviation(dense, hessian.hessian_log(t, w).to_dense()))
+                  hessian_dev=matrix_deviation(dense, hessian.hessian_log(t, w).array))
     _emit_report(args, report, {"alpha": list(map(float, w.alpha))})
     return EXIT_OK
 

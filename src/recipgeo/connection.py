@@ -55,28 +55,12 @@ class ChristoffelTensor:
             raise DimensionMismatch("gamma must be (n, n, n)")
         object.__setattr__(self, "array", 0.5 * (g + g.transpose(0, 2, 1)))
 
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    @classmethod
-    def zero(cls, n: int) -> "ChristoffelTensor":
-        return cls(np.zeros((n, n, n)))
-
     @classmethod
     def from_2d(cls, xxx, xxy, xyy, yxx, yxy, yyy) -> "ChristoffelTensor":
         return cls(np.array([xxx, xxy, xxy, xyy, yxx, yxy, yxy, yyy], dtype=float).reshape(2, 2, 2))
 
     def as_array(self) -> np.ndarray:
         return self.array.copy()
-
-    def contract(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^k_ij v^i v^j for each k."""
-        v = np.asarray(v, dtype=float)
-        return np.einsum("kij,i,j->k", self.array, v, v)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.array)))
 
 
 def z_factors(a: float, b: float, Z):
@@ -170,11 +154,7 @@ def _metric_array(metric_fn: Callable[[np.ndarray], object], p: np.ndarray) -> n
     return np.asarray(m, dtype=float)
 
 
-def christoffel_from_metric(
-    metric_fn: Callable[[np.ndarray], object],
-    p: np.ndarray,
-    h: float = ORACLE_STEP,
-) -> ChristoffelTensor:
+def christoffel_from_metric(metric_fn: Callable[[np.ndarray], object], p: np.ndarray) -> ChristoffelTensor:
     """Finite-difference oracle Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2
     for a 2D metric field, using central first differences and the explicit
     2x2 adjugate inverse."""
@@ -184,8 +164,8 @@ def christoffel_from_metric(
     dg = np.empty((2, 2, 2))  # dg[l, i, j] = d_l g_ij
     for l in range(2):
         dp = np.zeros(2)
-        dp[l] = h
-        dg[l] = (_metric_array(metric_fn, p + dp) - _metric_array(metric_fn, p - dp)) / (2.0 * h)
+        dp[l] = ORACLE_STEP
+        dg[l] = (_metric_array(metric_fn, p + dp) - _metric_array(metric_fn, p - dp)) / (2.0 * ORACLE_STEP)
     gamma = np.empty((2, 2, 2))
     for k in range(2):
         for i in range(2):
@@ -242,15 +222,11 @@ def affine_connection(structure: AffineStructure, chart: Chart, p: ChartPoint) -
         raise DimensionMismatch("affine connections are expressed in LOG or RATIO charts")
     p.require_chart(chart)
     n = p.n
-    if structure is AffineStructure.LOG_FLAT and chart is Chart.LOG:
-        return ChristoffelTensor.zero(n)
-    if structure is AffineStructure.RATIO_FLAT and chart is Chart.RATIO:
-        return ChristoffelTensor.zero(n)
     gamma = np.zeros((n, n, n))
     diag = np.arange(n)
-    if structure is AffineStructure.LOG_FLAT:  # in the ratio chart
+    if structure is AffineStructure.LOG_FLAT and chart is Chart.RATIO:
         gamma[diag, diag, diag] = -1.0 / p.coords
-    else:  # ratio-flat in the log chart
+    elif structure is AffineStructure.RATIO_FLAT and chart is Chart.LOG:
         gamma[diag, diag, diag] = 1.0
     return ChristoffelTensor(gamma)
 
@@ -269,7 +245,6 @@ def projective_obstruction(x: ChartPoint) -> float:
 def curvature_from_christoffel(
     gamma_fn: Callable[[np.ndarray], ChristoffelTensor],
     p: np.ndarray,
-    h: float = ORACLE_STEP,
     metric_fn: Optional[Callable[[np.ndarray], object]] = None,
 ) -> float:
     """Numerical Ricci scalar of a 2D connection field.
@@ -280,12 +255,12 @@ def curvature_from_christoffel(
     metric (identity when metric_fn is None, appropriate for flatness checks).
     """
     p = np.asarray(p, dtype=float)
-    g0 = gamma_fn(p).as_array()
+    g0 = gamma_fn(p).array
     dgamma = np.empty((2, 2, 2, 2))  # dgamma[l, k, i, j] = d_l Gamma^k_ij
     for l in range(2):
         dp = np.zeros(2)
-        dp[l] = h
-        dgamma[l] = (gamma_fn(p + dp).as_array() - gamma_fn(p - dp).as_array()) / (2.0 * h)
+        dp[l] = ORACLE_STEP
+        dgamma[l] = (gamma_fn(p + dp).array - gamma_fn(p - dp).array) / (2.0 * ORACLE_STEP)
     ricci = np.zeros((2, 2))
     for i in range(2):
         for j in range(2):

@@ -30,6 +30,8 @@ from .errors import (
 
 # exp/cosh overflow past this; S is kept in log space so this is the only wall
 S_MAX = 709.0
+# the box of sample_log_points in each log coordinate
+SAMPLE_LOW, SAMPLE_HIGH = -3.0, 3.0
 
 
 def entrywise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,13 +295,12 @@ def reciprocal_cost_1d(x: float) -> float:
     return 0.5 * (x + 1.0 / x) - 1.0
 
 
-def sample_log_points(n: int, count: int, seed: int, low: float = -3.0, high: float = 3.0) -> np.ndarray:
-    """Seeded uniform samples in log coordinates, shape (count, n).
-
-    The default box [-3, 3]^n covers both the near-zero-cost and the large-J
-    regimes reproducibly."""
+def sample_log_points(n: int, count: int, seed: int) -> np.ndarray:
+    """Seeded uniform samples in log coordinates, shape (count, n), in the
+    box [SAMPLE_LOW, SAMPLE_HIGH]^n, which covers both the near-zero-cost and
+    the large-J regimes reproducibly."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=(count, n))
+    return rng.uniform(SAMPLE_LOW, SAMPLE_HIGH, size=(count, n))
 
 
 def permutation_symmetry_check(w: WeightVector, samples: int = 100, seed: int = 0) -> bool:

@@ -103,7 +103,7 @@ def radical_projections(t: np.ndarray, w: WeightVector) -> np.ndarray:
     """The projections r^k = b_k . t onto the radical basis, which every flow
     line conserves: (n-1,) at one point, (N, n-1) at rows (N, n).  The rows
     take one product each, so every row has the bits of the one-point call."""
-    basis = radical_basis(w).vectors
+    basis = radical_basis(w)
     if t.ndim == 2:
         return (t[:, None, :] @ basis.T)[:, 0]
     return basis @ t

@@ -112,7 +112,7 @@ class Trajectory:
             "maxsteps": TerminationReason.MAX_STEPS,
             "stopped": sol.stop_reason,
         }[sol.status]
-        lam_end = sol.t_end
+        lam_end = sol.ts[-1]
         lambdas = np.linspace(lam0, lam_end, samples) if lam_end != lam0 else np.array([lam0])
         positions, velocities, accelerations = split(ode.dense_sample(sol, lambdas))
         return cls(chart, lambdas, positions, velocities, accelerations, termination,
@@ -152,6 +152,19 @@ def tangent_constraints(z0: float, a: float, b: float) -> TangentConstraint:
 
 # -- affine geodesics --------------------------------------------------------
 
+def _line_interval(p0: np.ndarray, v: np.ndarray, low: float, high: float) -> Tuple[float, float]:
+    """The open interval of lam on which every low < p0_i + lam v_i < high."""
+    lo, hi = -math.inf, math.inf
+    for pi, vi in zip(p0, v):
+        if vi > 0.0:
+            hi = min(hi, (high - pi) / vi)
+            lo = max(lo, (low - pi) / vi)
+        elif vi < 0.0:
+            hi = min(hi, (low - pi) / vi)
+            lo = max(lo, (high - pi) / vi)
+    return lo, hi
+
+
 def affine_geodesic_log(t0: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
     """Straight line t0 + lam v in log coordinates, defined for all lam."""
     return np.asarray(t0, dtype=float) + lam * np.asarray(v, dtype=float)
@@ -164,13 +177,7 @@ def affine_geodesic_ratio(
     positivity interval (all of R only for v = 0)."""
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(v, dtype=float)
-    lo, hi = -math.inf, math.inf
-    for xi, vi in zip(x0, v):
-        if vi > 0.0:
-            lo = max(lo, -xi / vi)
-        elif vi < 0.0:
-            hi = min(hi, -xi / vi)
-    return (lambda lam: x0 + lam * v), (lo, hi)
+    return (lambda lam: x0 + lam * v), _line_interval(x0, v, 0.0, math.inf)
 
 
 def affine_trajectory(
@@ -196,14 +203,7 @@ def affine_trajectory(
 
     if structure is AffineStructure.LOG_FLAT:
         t0 = start.coords if start.chart is Chart.LOG else np.log(start.coords)
-        lo, hi = -math.inf, math.inf
-        for ti, vi in zip(t0, v):  # keep |t_i + lam v_i| <= LOG_COORD_MAX
-            if vi > 0.0:
-                hi = min(hi, (LOG_COORD_MAX - ti) / vi)
-                lo = max(lo, (-LOG_COORD_MAX - ti) / vi)
-            elif vi < 0.0:
-                hi = min(hi, (-LOG_COORD_MAX - ti) / vi)
-                lo = max(lo, (LOG_COORD_MAX - ti) / vi)
+        lo, hi = _line_interval(t0, v, -LOG_COORD_MAX, LOG_COORD_MAX)
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = np.exp(t0 + lams[:, None] * v)
@@ -211,7 +211,7 @@ def affine_trajectory(
 
     else:
         x0 = start.coords if start.chart is Chart.RATIO else np.exp(start.coords)
-        _, (lo, hi) = affine_geodesic_ratio(x0, v)
+        lo, hi = _line_interval(x0, v, 0.0, math.inf)
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = x0 + lams[:, None] * v

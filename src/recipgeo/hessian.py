@@ -41,24 +41,8 @@ class SymMatrix:
             raise DimensionMismatch("dense input must be square")
         object.__setattr__(self, "array", 0.5 * (m + m.T))
 
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
     def to_dense(self) -> np.ndarray:
         return self.array.copy()
-
-    def __getitem__(self, ij) -> float:
-        return float(self.array[ij])
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.array)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.array))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.array @ np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -73,17 +57,6 @@ class HessianDecomposition:
     u: np.ndarray
     beta: float
     a_scale: float
-
-    def reconstruct(self) -> SymMatrix:
-        dense = self.a_scale * np.diag(self.diag) + self.beta * np.outer(self.u, self.u)
-        return SymMatrix(dense)
-
-
-@dataclass(frozen=True)
-class RadicalBasis:
-    """Orthonormal basis of the null distribution {v : alpha . v = 0}."""
-
-    vectors: np.ndarray  # shape (n-1, n)
 
 
 def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -143,7 +116,7 @@ def det_hessian_ratio(x: ChartPoint, w: WeightVector) -> float:
     """
     d = decompose(x, w)
     if abs(d.a_scale) < DET_ZERO_COST_S or np.any(w.alpha == 0.0):
-        return hessian_ratio(x, w).det()
+        return float(np.linalg.det(hessian_ratio(x, w).array))
     a_diag = d.a_scale * d.diag
     det_a = float(np.prod(a_diag))
     quad = float(np.sum(d.u * d.u / a_diag))
@@ -178,20 +151,21 @@ def rank(m: SymMatrix, tol: float = RANK_TOL) -> int:
     """Eigenvalue count above tol * (largest |eigenvalue|)."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    eigs = np.abs(m.eigenvalues())
+    eigs = np.abs(np.linalg.eigvalsh(m.array))
     top = float(np.max(eigs)) if eigs.size else 0.0
     if top == 0.0:
         return 0
     return int(np.sum(eigs > tol * top))
 
 
-def radical_basis(w: WeightVector) -> RadicalBasis:
-    """Orthonormal completion of alpha: n-1 vectors spanning alpha-perp."""
+def radical_basis(w: WeightVector) -> np.ndarray:
+    """Orthonormal basis of the null distribution {v : alpha . v = 0}: the
+    (n-1, n) array of the n-1 rows completing alpha."""
     norm = math.sqrt(w.norm_sq)
     if norm == 0.0:
         raise ZeroWeightVector("radical basis needs alpha != 0")
     _, _, vh = np.linalg.svd(w.alpha.reshape(1, -1) / norm)
-    return RadicalBasis(vectors=vh[1:])
+    return vh[1:]
 
 
 def pullback(

@@ -9,7 +9,6 @@ family with mean m(S) = integral_0^S sqrt(cosh u) du.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,18 +22,8 @@ from .hessian import SymMatrix, hessian_log
 QUADRATURE_TOL = 1e-12
 # |alpha . direction| below this (scaled) marks a radical direction
 DEGENERATE_DOT = 1e-12
-
-
-class DivergenceKind(enum.Enum):
-    IS = "itakura-saito"
-    SYM_IS = "symmetrized-itakura-saito"
-    BREGMAN = "bregman"
-
-
-@dataclass(frozen=True)
-class DivergenceValue:
-    value: float
-    kind: DivergenceKind
+# largest step of the Bregman remainder probe, halved three times
+ORDER_PROBE_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -60,24 +49,22 @@ class OrderFit:
     degenerate: bool
 
 
-def itakura_saito(p: float, q: float) -> DivergenceValue:
+def itakura_saito(p: float, q: float) -> float:
     """D_IS(p||q) = p/q - log(p/q) - 1 for positive scalars."""
     if p <= 0.0 or q <= 0.0:
         raise NonPositiveInput("Itakura-Saito divergence needs positive inputs")
     ratio = p / q
-    return DivergenceValue(ratio - math.log(ratio) - 1.0, DivergenceKind.IS)
+    return ratio - math.log(ratio) - 1.0
 
 
 def symmetrized_is(x: ChartPoint, w: WeightVector) -> float:
     """Half the sum D_IS(1||R) + D_IS(R||1) at the ratio product R(x);
     analytically identical to the cost J(x)."""
     R = cost_ratio(x, w).R
-    forward = itakura_saito(1.0, R).value
-    backward = itakura_saito(R, 1.0).value
-    return 0.5 * (forward + backward)
+    return 0.5 * (itakura_saito(1.0, R) + itakura_saito(R, 1.0))
 
 
-def bregman(t: ChartPoint, delta: np.ndarray, w: WeightVector) -> DivergenceValue:
+def bregman(t: ChartPoint, delta: np.ndarray, w: WeightVector) -> float:
     """Bregman divergence of the convex log-chart potential:
     D(t, t+delta) = J(t+delta) - J(t) - grad J(t) . delta >= 0."""
     t.require_chart(Chart.LOG)
@@ -86,30 +73,22 @@ def bregman(t: ChartPoint, delta: np.ndarray, w: WeightVector) -> DivergenceValu
         raise DimensionMismatch("delta/point dimension must match the weights")
     S = float(np.dot(w.alpha, t.coords))
     d = float(np.dot(w.alpha, delta))
-    value = math.cosh(S + d) - math.cosh(S) - math.sinh(S) * d
-    return DivergenceValue(value, DivergenceKind.BREGMAN)
+    return math.cosh(S + d) - math.cosh(S) - math.sinh(S) * d
 
 
-def bregman_order_check(
-    t: ChartPoint,
-    direction: np.ndarray,
-    w: WeightVector,
-    eps: float = 1e-2,
-) -> OrderFit:
+def bregman_order_check(t: ChartPoint, direction: np.ndarray, w: WeightVector) -> OrderFit:
     """Scaling exponent of the Bregman remainder beyond its quadratic term.
 
-    Evaluates |D(t, s v) - s^2 v^T H v / 2| at s = eps, eps/2, eps/4, eps/8
-    and fits the log2 slope: 3 where the cubic term is present, 4 at points
-    with S = 0, and identically zero along radical directions (reported with
-    degenerate=True rather than a fit)."""
+    Evaluates |D(t, s v) - s^2 v^T H v / 2| at s = ORDER_PROBE_STEP and its
+    halves, quarters and eighths, and fits the log2 slope: 3 where the cubic
+    term is present, 4 at points with S = 0, and identically zero along
+    radical directions (reported with degenerate=True rather than a fit)."""
     direction = np.asarray(direction, dtype=float)
-    h = hessian_log(t, w)
-    quad_coeff = 0.5 * float(direction @ h.to_dense() @ direction)
-    scales = eps * 0.5 ** np.arange(4)
+    quad_coeff = 0.5 * float(direction @ hessian_log(t, w).array @ direction)
+    scales = ORDER_PROBE_STEP * 0.5 ** np.arange(4)
     remainders = np.empty(4)
     for i, s in enumerate(scales):
-        d_val = bregman(t, s * direction, w).value
-        remainders[i] = abs(d_val - quad_coeff * s * s)
+        remainders[i] = abs(bregman(t, s * direction, w) - quad_coeff * s * s)
     dot = float(np.dot(w.alpha, direction))
     norm = math.sqrt(w.norm_sq) * float(np.linalg.norm(direction))
     if abs(dot) <= DEGENERATE_DOT * max(norm, 1e-300):
@@ -150,14 +129,14 @@ def _mean_slope(S: float) -> float:
     return math.sqrt(math.cosh(S))
 
 
-def mean_function(S: float, tol: float = QUADRATURE_TOL) -> MeanFunction:
+def mean_function(S: float) -> MeanFunction:
     """m(S) = integral_0^S sqrt(cosh u) du by adaptive Simpson quadrature,
     with m'(S) = sqrt(cosh S).  Odd in S, slope >= 1 everywhere."""
     m_prime = _mean_slope(S)
     if S == 0.0:
         return MeanFunction(S=0.0, m=0.0, m_prime=m_prime)
     integrand = lambda u: math.sqrt(math.cosh(u))
-    m = math.copysign(_adaptive_simpson(integrand, 0.0, abs(S), tol), S)
+    m = math.copysign(_adaptive_simpson(integrand, 0.0, abs(S), QUADRATURE_TOL), S)
     return MeanFunction(S=S, m=m, m_prime=m_prime)
 
 

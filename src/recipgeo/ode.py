@@ -160,10 +160,6 @@ class RawSolution:
     h_min: float
     h_max: float
 
-    @property
-    def t_end(self) -> float:
-        return self.ts[-1]
-
 
 def integrate(
     rhs: Rhs,

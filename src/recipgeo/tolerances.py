@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-
 
 def deviation(value: float, reference: float) -> float:
     """Scaled deviation |value - reference| / max(1, |reference|)."""
     return abs(value - reference) / max(1.0, abs(reference))
-
-
-def within(value: float, reference: float, tol: float = DEFAULT_TOL) -> bool:
-    return deviation(value, reference) <= tol
 
 
 def matrix_deviation(value: np.ndarray, reference: np.ndarray) -> float:

@@ -49,7 +49,7 @@ def suite_rank_one(seed: int = 0) -> SuiteResult:
             w = _random_weights(rng, n, lo=0.05, hi=2.0)
             t = ChartPoint(Chart.LOG, rng.uniform(-3.0, 3.0, n))
             m = hessian.hessian_log(t, w)
-            eigs = np.sort(np.abs(m.eigenvalues()))
+            eigs = np.sort(np.abs(np.linalg.eigvalsh(m.array)))
             worst = max(worst, float(eigs[-2] / eigs[-1]))
             if hessian.rank(m, 1e-10) != 1:
                 ok = False
@@ -68,7 +68,7 @@ def suite_hessian_oracle(seed: int = 0) -> SuiteResult:
             x = ChartPoint(Chart.RATIO, np.exp(rng.uniform(-1.5, 1.5, n)))
             exact = hessian.hessian_ratio(x, w)
             fd = hessian.fd_hessian(lambda p: core.cost_ratio(p, w).J, x)
-            worst = max(worst, matrix_deviation(fd.to_dense(), exact.to_dense()))
+            worst = max(worst, matrix_deviation(fd.array, exact.array))
             checks += 1
     return SuiteResult("hessian_oracle", worst <= 1e-6, worst, 1e-6, checks)
 
@@ -130,7 +130,7 @@ def suite_christoffel_oracle(seed: int = 0, perturb: float = 0.0) -> SuiteResult
         v = rng.uniform(-2.0, 2.0, 2)
         state = geodesics.GeodesicState(Chart.RATIO, np.array([x, y]), v, 0.0)
         acc = geodesics.lc_rhs_xy(state, w.a, w.b)
-        contraction = -connection.lc_christoffel_xy(w.a, w.b, x, y).contract(v)
+        contraction = -np.einsum("kij,i,j->k", connection.lc_christoffel_xy(w.a, w.b, x, y).array, v, v)
         rhs_worst = max(rhs_worst, matrix_deviation(acc, contraction))
         checks += 1
     passed = worst <= 1e-6 and rhs_worst <= 1e-10
@@ -280,7 +280,7 @@ def suite_infogeo(seed: int = 0) -> SuiteResult:
         t = ChartPoint(Chart.LOG, rng.uniform(-3.0, 3.0, n))
         fisher_worst = max(
             fisher_worst,
-            matrix_deviation(infogeo.fisher_info(t, w).to_dense(), hessian.hessian_log(t, w).to_dense()),
+            matrix_deviation(infogeo.fisher_info(t, w).array, hessian.hessian_log(t, w).array),
         )
         checks += 1
     ok &= fisher_worst <= 1e-12
@@ -294,7 +294,7 @@ def suite_infogeo(seed: int = 0) -> SuiteResult:
     score_sq = (np.sqrt(2.0) * nodes * mp_fd) ** 2
     fisher_quad = float(np.sum(weights * score_sq) / math.sqrt(math.pi))
     w1 = WeightVector(np.array([1.0]))
-    fisher_closed = infogeo.fisher_info(ChartPoint(Chart.LOG, np.array([S])), w1)[0, 0]
+    fisher_closed = float(infogeo.fisher_info(ChartPoint(Chart.LOG, np.array([S])), w1).array[0, 0])
     quad_dev = deviation(fisher_quad, fisher_closed)
     ok &= quad_dev <= 1e-6
     checks += 1
@@ -375,7 +375,7 @@ def suite_structure(seed: int = 0) -> SuiteResult:
             t_zero = t0 - (float(np.dot(w.alpha, t0)) / w.norm_sq) * w.alpha
             x = ChartPoint(Chart.RATIO, np.exp(t_zero))
             m = hessian.hessian_ratio(x, w)
-            scale = max(1.0, float(np.max(np.abs(m.to_dense()))))
+            scale = max(1.0, float(np.max(np.abs(m.array))))
             det_scaled = abs(hessian.det_hessian_ratio(x, w)) / scale**n
             det_worst = max(det_worst, det_scaled)
             checks += 1

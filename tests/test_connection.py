@@ -127,7 +127,7 @@ class TestChristoffelST:
 class TestChristoffelOracle:
     def test_constant_metric_zero(self):
         gamma = christoffel_from_metric(lambda p: np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([1.0, 2.0]))
-        assert gamma.max_abs() <= 1e-12
+        assert np.max(np.abs(gamma.array)) <= 1e-12
 
     def test_polar_style_metric(self):
         # diag(1, x^2): the only nonzero symbols are G^x_yy = -x, G^y_xy = 1/x
@@ -215,7 +215,7 @@ class TestRicci:
 
 class TestCurvatureOracle:
     def test_flat_connection_zero(self):
-        zero_fn = lambda p: ChristoffelTensor.zero(2)
+        zero_fn = lambda p: ChristoffelTensor(np.zeros((2, 2, 2)))
         assert curvature_from_christoffel(zero_fn, np.array([1.0, 2.0])) == 0.0
 
     def test_sphere_sign_convention(self):
@@ -244,8 +244,8 @@ class TestAffineConnections:
     def test_trivial_in_own_chart(self):
         p_log = ChartPoint(Chart.LOG, np.array([0.3, -0.4]))
         p_ratio = ChartPoint(Chart.RATIO, np.array([2.0, 4.0]))
-        assert affine_connection(AffineStructure.LOG_FLAT, Chart.LOG, p_log).max_abs() == 0.0
-        assert affine_connection(AffineStructure.RATIO_FLAT, Chart.RATIO, p_ratio).max_abs() == 0.0
+        assert not np.any(affine_connection(AffineStructure.LOG_FLAT, Chart.LOG, p_log).array)
+        assert not np.any(affine_connection(AffineStructure.RATIO_FLAT, Chart.RATIO, p_ratio).array)
 
     def test_log_flat_in_ratio_chart(self):
         p = ChartPoint(Chart.RATIO, np.array([2.0, 4.0]))
@@ -273,7 +273,7 @@ class TestAffineConnections:
     def test_n_dimensional(self):
         p = ChartPoint(Chart.RATIO, np.array([1.0, 2.0, 4.0]))
         gamma = affine_connection(AffineStructure.LOG_FLAT, Chart.RATIO, p)
-        assert gamma.n == 3
+        assert gamma.array.shape == (3, 3, 3)
         assert_close(gamma.array[2, 2, 2], -0.25, 1e-15)
 
 

@@ -86,7 +86,7 @@ class TestFlowSolution:
         sol = flow_solution(t0, w, FlowSign.DESCENT)
         S0 = float(np.dot(w.alpha, t0))
         assert_close(sol.C, math.tanh(S0 / 2.0), 1e-14)
-        basis = radical_basis(w).vectors
+        basis = radical_basis(w)
         np.testing.assert_allclose(sol.transverse, basis @ t0, rtol=1e-14)
 
     def test_intervals(self):
@@ -160,7 +160,7 @@ class TestIntegrateFlow:
                 w = WeightVector(rng.uniform(0.2, 1.2, n) * np.where(rng.uniform(size=n) < 0.5, -1, 1))
                 t0 = rng.uniform(-3, 3, n)
                 traj = integrate_flow(t0, w, FlowSign.DESCENT, (0.0, 2.0), tol=1e-10, samples=96)
-                basis = radical_basis(w).vectors
+                basis = radical_basis(w)
                 r0 = basis @ t0
                 drift = max(float(np.max(np.abs(basis @ t - r0))) for t in traj.positions)
                 assert drift <= 1e-10

@@ -120,7 +120,7 @@ class TestNonFiniteStages:
     def test_driver_recovers(self, value):
         clean = ode.integrate(failing_at_call(0, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)  # no call 0
         sol = ode.integrate(failing_at_call(40, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)
-        assert sol.status == "span" and sol.t_end == 1.0
+        assert sol.status == "span" and sol.ts[-1] == 1.0
         assert sol.rejected == clean.rejected + 1
         np.testing.assert_allclose(sol.ys[-1], np.exp(-1.0) * np.array([1.0, 2.0]), rtol=1e-9)
 
@@ -138,7 +138,7 @@ class TestNonFiniteStages:
         monkeypatch.setattr(ode, "MAX_STEPS", 20_000)
         sol = ode.integrate(rhs, np.zeros(2), (0.0, 1.0))
         assert sol.status == "underflow"
-        assert 0.5 - 1e-12 <= sol.t_end <= 0.5
+        assert 0.5 - 1e-12 <= sol.ts[-1] <= 0.5
         assert sol.rejected > 0 and sol.accepted + sol.rejected < ode.MAX_STEPS
 
 
