@@ -162,9 +162,11 @@ def _check_dims(p: ChartPoint, w: WeightVector) -> None:
 
 
 def _cost_from_S(S):
-    """The cost J = cosh S - 1 at a float S (with `math`), or at each entry
-    of an array S with the bits of its float call (with ROW_MATH).
-    Raises Overflow past S_MAX, naming the first such entry."""
+    """The cost J = cosh S - 1 = 2 sinh^2(S/2) at a float S (with `math`), or
+    at each entry of an array S with the bits of its float call (with
+    ROW_MATH).  The sinh form keeps full relative accuracy near S = 0, where
+    cosh S - 1 cancels.  Raises Overflow past S_MAX, naming the first such
+    entry."""
     if isinstance(S, np.ndarray):
         over = S[np.abs(S) > S_MAX]
         first, xp = (over[0] if over.size else 0.0), ROW_MATH
@@ -172,7 +174,8 @@ def _cost_from_S(S):
         first, xp = S, math
     if abs(first) > S_MAX:
         raise Overflow(f"|S| = {abs(first):g} exceeds the double-precision range of exp/cosh")
-    return xp.cosh(S) - 1.0
+    h = xp.sinh(0.5 * S)
+    return 2.0 * (h * h)
 
 
 def _summary_from_S(S: float, G: Optional[float]) -> ScalarSummary:

@@ -112,6 +112,13 @@ class TestCost:
         t = ChartPoint(Chart.LOG, np.array([1.0, 1.0]))
         assert_close(cost_log(t, w).J, cosh_minus_one_by_series(1.0), 1e-14)
 
+    @pytest.mark.parametrize("S", [1e-10, 1e-8, 1e-6, 1e-4, -1e-10, -1e-8, -1e-6, -1e-4])
+    def test_no_cancellation_near_zero_cost(self, S):
+        # J = cosh S - 1 against its series S^2/2 + S^4/24 next to the R = 1 leaf
+        J = cost_log(ChartPoint(Chart.LOG, np.array([S])), WeightVector(np.array([1.0]))).J
+        series = S * S / 2.0 + S**4 / 24.0
+        assert abs(J - series) <= 1e-15 * series
+
     def test_geometric_mean_canonical_only(self):
         x = ChartPoint(Chart.RATIO, np.array([2.0, 8.0]))
         canonical = cost_ratio(x, WeightVector.canonical(2))
@@ -169,6 +176,15 @@ class TestCostRows:
         rows = cost_ratio_rows(x, w)
         points = np.array([cost_ratio(ChartPoint(Chart.RATIO, row), w).J for row in x])
         assert rows.shape == (300,)
+        np.testing.assert_array_equal(rows.view(np.int64), points.view(np.int64))
+
+    def test_rows_match_points_near_zero_cost(self):
+        w = WeightVector(np.array([1.0, -0.5]))
+        S = np.array([1e-10, 1e-8, 1e-6, 1e-4, -1e-10, -1e-8, -1e-6, -1e-4])
+        x = np.exp(np.stack([S + 0.3, np.full_like(S, 0.6)], axis=1))  # alpha . log x near S
+        rows = cost_ratio_rows(x, w)
+        points = np.array([cost_ratio(ChartPoint(Chart.RATIO, row), w).J for row in x])
+        assert np.all(rows > 0.0)
         np.testing.assert_array_equal(rows.view(np.int64), points.view(np.int64))
 
     def test_overflow_names_first_row_past_limit(self):
