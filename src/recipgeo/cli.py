@@ -148,15 +148,18 @@ def _emit_report(args, report: Dict[str, object], meta: dict) -> None:
 
 
 def _seed(args) -> int:
+    """--seed, else $RECIPGEO_SEED, else 0; a negative seed is a usage error."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV, "0")
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV
         except ValueError:
             raise UsageError(f"{SEED_ENV}={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 # -- subcommands -------------------------------------------------------------

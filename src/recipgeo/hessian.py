@@ -4,6 +4,10 @@ In log coordinates the Hessian is cosh(S) * alpha alpha^T: rank one
 everywhere, with an (n-1)-dimensional radical (null) distribution.  In ratio
 coordinates it is rank-one-plus-diagonal and generically invertible,
 degenerating on R = 1 and on the locus tanh(S) = sum(alpha).
+
+Each Hessian is a SymMatrix, whose constructor symmetrises its input; read
+the dense (n, n) matrix as `.array`.  The radical basis is a plain (n-1, n)
+array, and determinants and locus values are floats.
 """
 
 from __future__ import annotations

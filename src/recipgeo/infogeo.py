@@ -5,6 +5,9 @@ against 1; in log coordinates it is a globally convex Bregman potential
 whose second-order expansion is the degenerate Hessian metric; and that
 metric is realized as the Fisher information of a one-parameter Gaussian
 family with mean m(S) = integral_0^S sqrt(cosh u) du.
+
+The divergences return floats; the Fisher information is a SymMatrix, read
+as `.array` like the Hessians.
 """
 
 from __future__ import annotations

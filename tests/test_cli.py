@@ -459,6 +459,19 @@ class TestVerify:
         assert main(["verify", "--suite", "composition_law", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suite", [None, "flows", "composition_law"])
+    def test_negative_seed_option_exits_2(self, suite, capsys):
+        argv = ["verify", "--seed", "-1"] + (["--suite", suite] if suite else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["flows", "composition_law"])
+    def test_negative_seed_env_exits_2(self, suite, capsys, monkeypatch):
+        monkeypatch.setenv("RECIPGEO_SEED", "-7")
+        assert main(["verify", "--suite", suite]) == 2
+        assert "RECIPGEO_SEED must be a non-negative integer" in capsys.readouterr().err
+
     def test_perturbation_fails(self, tmp_path):
         code = main([
             "verify", "--suite", "christoffel_oracle", "--perturb", "1e-3",

@@ -79,6 +79,10 @@ COMMANDS = [
     "christoffel --alpha 0.333333,0.5 --chart log --point 0.4,-0.3",
     "ricci --alpha 0.3,0.4 --q 0.8 --format json",
     "fisher --alpha 0.5,-0.8,1.1 --point 0.7,-1.2,0.4 --format json",
+    # the cost next to the zero-cost leaf, where cosh S - 1 cancels
+    "eval --alpha 1 --chart log --point 1e-8 --format json",
+    # an n = 3 ratio-chart Hessian with its determinant and determinant lemma
+    "hessian --alpha 0.3,0.9,-0.4 --chart ratio --point 1.5,0.7,2 --format json",
 ]
 
 
