@@ -91,10 +91,7 @@ def _parse_span(text: str) -> Tuple[float, float]:
 
 
 def _weights(args) -> WeightVector:
-    try:
-        return WeightVector(_parse_floats(args.alpha, "alpha"))
-    except RecipGeoError as exc:
-        raise UsageError(str(exc)) from None
+    return WeightVector(_parse_floats(args.alpha, "alpha"))
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -331,14 +328,14 @@ def cmd_flow(args) -> int:
     sign = flows.FlowSign.ASCENT if args.sign == "ascent" else flows.FlowSign.DESCENT
     sol = flows.flow_solution(t0, w, sign)
     traj = flows.integrate_flow(t0, w, sign, span, tol=args.tol, samples=args.samples)
-    S0 = flows._alpha_dot(t0, w.alpha)[0]
-    S = flows._alpha_dot(traj.positions, w.alpha)[0][:, 0]
+    S0 = core.alpha_dot(t0, w.alpha)
+    S = core.alpha_dot(traj.positions, w.alpha)
     r = flows.radical_projections(traj.positions, w)
     table = {
         "tau": traj.lambdas,
         "S": S,
         "S_closed": flows.closed_form_S(S0, traj.lambdas - span[0], w, sign),
-        "J": core._cost_from_S(S),
+        "J": core.cost_from_S(S),
         **{f"t{i+1}": traj.positions[:, i] for i in range(w.n)},
         **{f"r{k+1}": r[:, k] for k in range(w.n - 1)},
     }
@@ -367,6 +364,10 @@ def cmd_locus(args) -> int:
     n = args.grid
     if n < 2:
         raise UsageError("--grid must be at least 2")
+    # every x = e^s and Z = e^{2S} of the grid must lie within the exp wall
+    reach = max(abs(lo), abs(hi), *(2.0 * abs(a * s + b * t) for s in (lo, hi) for t in (lo, hi)))
+    if reach > core.S_MAX:
+        raise UsageError(f"--range {lo:g},{hi:g} takes |log x| or 2|S| to {reach:g}, past S_MAX = {core.S_MAX:g}")
     logs = np.linspace(lo, hi, n)
     xs = np.exp(logs)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -413,7 +414,7 @@ def cmd_fisher(args) -> int:
     w = _weights(args)
     t = ChartPoint(Chart.LOG, _parse_floats(args.point, "point"))
     info = infogeo.fisher_info(t, w)
-    S = core.cost_log(t, w).S
+    S = core.S_at(t, w)
     mf = infogeo.mean_function(S)
     dense = info.array
     report = {f"I[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
@@ -428,8 +429,6 @@ def cmd_fisher(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="write to this path (atomic); default stdout")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (falls back to ${SEED_ENV}, then 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None, help="run a single suite by name")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="test hook: scale one Christoffel component by 1+perturb")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random seed (falls back to ${SEED_ENV}, then 0)")
+    p.add_argument("--output", default=None, help="write the report to this path (atomic); default stdout")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("fisher", help="Fisher information report at a log point")

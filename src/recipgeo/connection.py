@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Chart, ChartPoint, math_for
+from .core import Chart, ChartPoint, check_S, math_for
 from .errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
@@ -118,8 +118,8 @@ def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTens
 
 def lc_christoffel_st(a: float, b: float, s: float, t: float) -> ChristoffelTensor:
     """The same connection in (s, t) = (log x, log y); every component
-    depends on the point only through q = a s + b t."""
-    q = a * s + b * t
+    depends on the point only through q = a s + b t, held within S_MAX."""
+    q = check_S(a * s + b * t)
     sh = math.sinh(q)
     if abs(sh) < EPS_SINGULAR:
         raise SingularMetric("q = 0 (zero-cost hypersurface)")
@@ -200,8 +200,9 @@ def ricci_xy(a: float, b: float, Z):
 
 
 def ricci_q(a: float, b: float, q: float) -> float:
-    """Ricci scalar in the q variable; equals ricci_xy at Z = e^{2q}."""
-    sh = math.sinh(q)
+    """Ricci scalar in the q variable; equals ricci_xy at Z = e^{2q}.
+    |q| may not exceed S_MAX."""
+    sh = math.sinh(check_S(q))
     if abs(sh) < EPS_SINGULAR:
         raise SingularLocus("q = 0 lies on the zero-cost hypersurface")
     cth = math.cosh(q) / sh

@@ -28,8 +28,10 @@ from .errors import (
     ZeroWeightVector,
 )
 
-# exp/cosh overflow past this; S is kept in log space so this is the only wall
-S_MAX = 709.0
+# The one overflow wall: every closed form reads S = alpha . t (or q = S)
+# through check_S, which refuses |S| past this, a little short of where exp
+# and cosh overflow.
+S_MAX = 700.0
 # the box of sample_log_points in each log coordinate
 SAMPLE_LOW, SAMPLE_HIGH = -3.0, 3.0
 
@@ -80,6 +82,9 @@ class WeightVector:
             raise ZeroWeightVector("alpha must be finite")
         if not np.any(arr != 0.0):
             raise ZeroWeightVector("alpha must have at least one nonzero component")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.dot(arr, arr)):
+                raise Overflow("|alpha|^2 overflows the double range")
         object.__setattr__(self, "alpha", arr)
 
     @classmethod
@@ -161,65 +166,82 @@ def _check_dims(p: ChartPoint, w: WeightVector) -> None:
         raise DimensionMismatch(f"point has n={p.n}, weights have n={w.n}")
 
 
-def _cost_from_S(S):
+def check_S(S):
+    """S itself, once |S| <= S_MAX holds at a float S or at every entry of an
+    array S.  Otherwise raises Overflow, naming the first entry that breaks
+    it (NaN included)."""
+    first = S
+    if isinstance(S, np.ndarray):
+        over = S[~(np.abs(S) <= S_MAX)]
+        first = over[0] if over.size else 0.0
+    if not abs(first) <= S_MAX:
+        raise Overflow(f"|S| = {abs(first):g} exceeds S_MAX = {S_MAX:g}, the overflow wall of exp and cosh")
+    return S
+
+
+def alpha_dot(y, alpha: np.ndarray):
+    """S = alpha . y within S_MAX: a float at one point y (n floats), an
+    (N,) array at rows (N, n).  The rows take one dot product each, so every
+    S, and every value computed from it with math_for(S), has the bits of the
+    one-point call."""
+    if isinstance(y, np.ndarray) and y.ndim == 2:
+        return check_S((y[:, None, :] @ alpha)[:, 0])
+    return check_S(float(np.dot(alpha, y)))
+
+
+def log_coords(p: ChartPoint, w: WeightVector) -> np.ndarray:
+    """The log coordinates t of a point in any chart."""
+    _check_dims(p, w)
+    if p.chart is Chart.LOG:
+        return p.coords
+    if p.chart is Chart.RATIO:
+        return np.log(p.coords)
+    return qr_to_log(p.coords, w.a, w.b)
+
+
+def S_at(p: ChartPoint, w: WeightVector) -> float:
+    """S = alpha . t = log R at a point in any chart, within S_MAX."""
+    return alpha_dot(log_coords(p, w), w.alpha)
+
+
+def cost_from_S(S):
     """The cost J = cosh S - 1 = 2 sinh^2(S/2) at a float S (with `math`), or
     at each entry of an array S with the bits of its float call (with
     ROW_MATH).  The sinh form keeps full relative accuracy near S = 0, where
-    cosh S - 1 cancels.  Raises Overflow past S_MAX, naming the first such
-    entry."""
-    if isinstance(S, np.ndarray):
-        over = S[np.abs(S) > S_MAX]
-        first, xp = (over[0] if over.size else 0.0), ROW_MATH
-    else:
-        first, xp = S, math
-    if abs(first) > S_MAX:
-        raise Overflow(f"|S| = {abs(first):g} exceeds the double-precision range of exp/cosh")
-    h = xp.sinh(0.5 * S)
+    cosh S - 1 cancels."""
+    h = math_for(S).sinh(0.5 * check_S(S))
     return 2.0 * (h * h)
-
-
-def _summary_from_S(S: float, G: Optional[float]) -> ScalarSummary:
-    J = _cost_from_S(S)
-    return ScalarSummary(R=math.exp(S), S=S, J=J, G=G)
 
 
 def cost_log(t: ChartPoint, w: WeightVector) -> ScalarSummary:
     """Cost in logarithmic coordinates: J = cosh(alpha . t) - 1."""
     t.require_chart(Chart.LOG)
-    _check_dims(t, w)
-    S = float(np.dot(w.alpha, t.coords))
-    G = math.exp(float(np.mean(t.coords))) if w.is_canonical() else None
-    return _summary_from_S(S, G)
+    return cost(t, w)
 
 
 def cost_ratio(x: ChartPoint, w: WeightVector) -> ScalarSummary:
     """Cost in ratio coordinates, computed through S = sum alpha_i log x_i."""
     x.require_chart(Chart.RATIO)
-    _check_dims(x, w)
-    logs = np.log(x.coords)
-    S = float(np.dot(w.alpha, logs))
-    G = math.exp(float(np.mean(logs))) if w.is_canonical() else None
-    return _summary_from_S(S, G)
+    return cost(x, w)
 
 
 def cost_ratio_rows(x: np.ndarray, w: WeightVector) -> np.ndarray:
     """`cost_ratio(ChartPoint(Chart.RATIO, row), w).J` at each row of an
-    (N, n) array of ratio coordinates, with the same bits: S takes one dot
-    product per row."""
+    (N, n) array of ratio coordinates, with the same bits."""
     if x.ndim != 2 or x.shape[1] != w.n:
         raise DimensionMismatch(f"rows have n={x.shape[-1]}, weights have n={w.n}")
     if not np.all(x > 0.0):
         raise NonPositiveCoordinate("ratio coordinates must be positive")
-    return _cost_from_S((np.log(x)[:, None, :] @ w.alpha)[:, 0])
+    return cost_from_S(alpha_dot(np.log(x), w.alpha))
 
 
 def cost(p: ChartPoint, w: WeightVector) -> ScalarSummary:
-    """Cost in any chart (QR points are routed through the log chart)."""
-    if p.chart is Chart.RATIO:
-        return cost_ratio(p, w)
-    if p.chart is Chart.LOG:
-        return cost_log(p, w)
-    return cost_log(transform(p, Chart.LOG, w), w)
+    """Cost in any chart, from S = alpha . t at the log coordinates t of the
+    point (QR points are rotated back to them)."""
+    t = log_coords(p, w)
+    S = alpha_dot(t, w.alpha)
+    G = math.exp(float(np.mean(t))) if w.is_canonical() else None
+    return ScalarSummary(R=math.exp(S), S=S, J=cost_from_S(S), G=G)
 
 
 def transform(p: ChartPoint, target: Chart, w: WeightVector) -> ChartPoint:
@@ -244,14 +266,11 @@ def transform(p: ChartPoint, target: Chart, w: WeightVector) -> ChartPoint:
             raise Overflow("exp overflowed on the ratio chart")
         return ChartPoint(Chart.RATIO, coords)
 
-    if p.chart is Chart.RATIO and target is Chart.LOG:
-        return ChartPoint(Chart.LOG, np.log(p.coords))
+    if target is Chart.LOG:
+        return ChartPoint(Chart.LOG, log_coords(p, w))
 
     if p.chart is Chart.LOG and target is Chart.QR:
         return ChartPoint(Chart.QR, log_to_qr(p.coords, w.a, w.b))
-
-    if p.chart is Chart.QR and target is Chart.LOG:
-        return ChartPoint(Chart.LOG, qr_to_log(p.coords, w.a, w.b))
 
     # remaining pairs go through LOG
     return transform(transform(p, Chart.LOG, w), target, w)

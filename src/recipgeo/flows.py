@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import ode
-from .core import ROW_MATH, Chart, ChartPoint, WeightVector, entrywise, math_for
+from .core import Chart, ChartPoint, WeightVector, alpha_dot, entrywise, math_for
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
 from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples
 from .hessian import radical_basis
@@ -66,7 +66,7 @@ def gradient_field(t, w: WeightVector, sign: FlowSign) -> np.ndarray:
 
 def cost_rate(t, w: WeightVector, sign: FlowSign) -> float:
     """dJ/dtau along the flow: +-|alpha|^2 sinh^2(S)."""
-    s = math.sinh(_alpha_dot(_coords(t, w), w.alpha)[0])
+    s = math.sinh(alpha_dot(_coords(t, w), w.alpha))
     return sign.value * w.norm_sq * s * s
 
 
@@ -112,7 +112,7 @@ def radical_projections(t: np.ndarray, w: WeightVector) -> np.ndarray:
 def flow_solution(t0, w: WeightVector, sign: FlowSign) -> FlowSolution:
     """Integration constants and validity interval of the flow from t0."""
     arr = _coords(t0, w)
-    S0 = _alpha_dot(arr, w.alpha)[0]
+    S0 = alpha_dot(arr, w.alpha)
     tau_star = blowup_time(S0, w)
     interval = (-math.inf, tau_star) if sign is FlowSign.ASCENT else (-tau_star, math.inf)
     return FlowSolution(sign=sign, C=_flow_constant(S0), transverse=radical_projections(arr, w),
@@ -146,7 +146,7 @@ def integrate_flow(
     n2 = w.norm_sq
     sgn = sign.value
     c = sgn * n2
-    S0 = float(_alpha_dot(arr, alpha)[0])
+    S0 = alpha_dot(arr, alpha)
 
     def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
         if sign is FlowSign.DESCENT and abs(y[0]) < CONVERGED_S:
@@ -163,21 +163,10 @@ def integrate_flow(
     return Trajectory.from_solution(sol, Chart.LOG, tau0, samples, split)
 
 
-def _alpha_dot(y, alpha: np.ndarray):
-    """S = alpha . y with the module to evaluate functions of it: a float and
-    `math` for one point y (a sequence of n floats), an (N, 1) column and
-    core.ROW_MATH for rows (N, n).  The rows take one dot product each, so
-    every S, and every value computed from it, has the bits of the one-point
-    call."""
-    if isinstance(y, np.ndarray) and y.ndim == 2:
-        return y[:, None, :] @ alpha, ROW_MATH
-    return np.dot(alpha, y), math
-
-
 def _flow_velocity(y, alpha: np.ndarray, sgn: float):
-    """dt/dtau = +-alpha sinh(S), at one point or at rows (see _alpha_dot)."""
-    S, xp = _alpha_dot(y, alpha)
-    return sgn * xp.sinh(S) * alpha
+    """dt/dtau = +-alpha sinh(S), at one point or at rows (see core.alpha_dot)."""
+    S = alpha_dot(y, alpha)
+    return np.multiply.outer(sgn * math_for(S).sinh(S), alpha)
 
 
 def _sinh_cosh(S: float) -> float:
@@ -191,5 +180,6 @@ def _sinh_cosh(S: float) -> float:
 def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float) -> np.ndarray:
     """d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square),
     at one point or at rows."""
-    S, xp = _alpha_dot(y, alpha)
-    return n2 * (_sinh_cosh(S) if xp is math else entrywise(_sinh_cosh)(S)) * alpha
+    S = alpha_dot(y, alpha)
+    sc = entrywise(_sinh_cosh)(S) if isinstance(S, np.ndarray) else _sinh_cosh(S)
+    return np.multiply.outer(n2 * sc, alpha)

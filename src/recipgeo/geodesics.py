@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ode
 from .connection import EPS_SINGULAR, AffineStructure, delta, z_xy
-from .core import Chart, ChartPoint, log_to_qr, math_for
+from .core import S_MAX, Chart, ChartPoint, log_to_qr, math_for
 from .errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
@@ -40,8 +40,6 @@ DELTA_DOMAIN = 1e-12
 # of these floors, so every such run reaches it.
 DELTA_STOP = 1e-5
 DENSE_SAMPLES = 512
-# beyond this magnitude of a log coordinate the ratio image is not representable
-LOG_COORD_MAX = 700.0
 
 
 class TerminationReason(enum.Enum):
@@ -203,7 +201,8 @@ def affine_trajectory(
 
     if structure is AffineStructure.LOG_FLAT:
         t0 = start.coords if start.chart is Chart.LOG else np.log(start.coords)
-        lo, hi = _line_interval(t0, v, -LOG_COORD_MAX, LOG_COORD_MAX)
+        # beyond S_MAX in a log coordinate the ratio image is not representable
+        lo, hi = _line_interval(t0, v, -S_MAX, S_MAX)
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = np.exp(t0 + lams[:, None] * v)

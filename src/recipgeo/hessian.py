@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Chart, ChartPoint, WeightVector, cost, transform
+from .core import Chart, ChartPoint, S_at, WeightVector, transform
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -66,10 +66,15 @@ class HessianDecomposition:
 def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
     """Log-chart Hessian cosh(S) * alpha alpha^T (rank one for any t)."""
     t.require_chart(Chart.LOG)
-    if t.n != w.n:
-        raise DimensionMismatch(f"point has n={t.n}, weights have n={w.n}")
-    S = float(np.dot(w.alpha, t.coords))
-    return SymMatrix(math.cosh(S) * np.outer(w.alpha, w.alpha))
+    return SymMatrix(math.cosh(S_at(t, w)) * np.outer(w.alpha, w.alpha))
+
+
+def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[np.ndarray, float, float]:
+    """u = alpha / x, R and 1/R at a ratio-chart point, from one S: what
+    both forms of the ratio-chart Hessian read."""
+    x.require_chart(Chart.RATIO)
+    S = S_at(x, w)
+    return w.alpha / x.coords, math.exp(S), math.exp(-S)
 
 
 def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -78,15 +83,8 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
     Off-diagonal: (alpha_i alpha_j / (2 x_i x_j)) (R + 1/R).
     Diagonal:     (alpha_i(alpha_i-1) R + alpha_i(alpha_i+1)/R) / (2 x_i^2).
     """
-    x.require_chart(Chart.RATIO)
-    if x.n != w.n:
-        raise DimensionMismatch(f"point has n={x.n}, weights have n={w.n}")
-    alpha = w.alpha
-    c = x.coords
-    S = float(np.dot(alpha, np.log(c)))
-    R = math.exp(S)
-    Rinv = math.exp(-S)
-    u = alpha / c
+    u, R, Rinv = _ratio_terms(x, w)
+    alpha, c = w.alpha, x.coords
     dense = 0.5 * (R + Rinv) * np.outer(u, u)
     np.fill_diagonal(
         dense, 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (c * c)
@@ -96,16 +94,10 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
 
 def decompose(x: ChartPoint, w: WeightVector) -> HessianDecomposition:
     """Rank-one-plus-diagonal split of the ratio-chart Hessian."""
-    x.require_chart(Chart.RATIO)
-    if x.n != w.n:
-        raise DimensionMismatch(f"point has n={x.n}, weights have n={w.n}")
-    c = x.coords
-    S = float(np.dot(w.alpha, np.log(c)))
-    R = math.exp(S)
-    Rinv = math.exp(-S)
+    u, R, Rinv = _ratio_terms(x, w)
     return HessianDecomposition(
-        diag=w.alpha / (c * c),
-        u=w.alpha / c,
+        diag=w.alpha / (x.coords * x.coords),
+        u=u,
         beta=0.5 * (R + Rinv),
         a_scale=-0.5 * (R - Rinv),
     )
@@ -133,7 +125,7 @@ def singular_locus_value(p: ChartPoint, w: WeightVector) -> float:
     Zero exactly on the secondary degeneracy hypersurface; undefined on the
     zero-cost hypersurface where coth blows up.
     """
-    S = cost(p, w).S
+    S = S_at(p, w)
     if abs(S) < 1e-14:
         raise ZeroCostPoint("coth(S) undefined at S = 0; the R=1 degeneracy is separate")
     return 1.0 - w.total / math.tanh(S)

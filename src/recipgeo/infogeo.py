@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Chart, ChartPoint, WeightVector, cost_ratio
-from .errors import DimensionMismatch, NonPositiveInput, Overflow
+from .core import Chart, ChartPoint, S_at, WeightVector, check_S, cost_ratio
+from .errors import DimensionMismatch, NonPositiveInput
 from .hessian import SymMatrix, hessian_log
 
 QUADRATURE_TOL = 1e-12
@@ -72,11 +72,11 @@ def bregman(t: ChartPoint, delta: np.ndarray, w: WeightVector) -> float:
     D(t, t+delta) = J(t+delta) - J(t) - grad J(t) . delta >= 0."""
     t.require_chart(Chart.LOG)
     delta = np.asarray(delta, dtype=float)
-    if delta.size != w.n or t.n != w.n:
+    if delta.size != w.n:
         raise DimensionMismatch("delta/point dimension must match the weights")
-    S = float(np.dot(w.alpha, t.coords))
+    S = S_at(t, w)
     d = float(np.dot(w.alpha, delta))
-    return math.cosh(S + d) - math.cosh(S) - math.sinh(S) * d
+    return math.cosh(check_S(S + d)) - math.cosh(S) - math.sinh(S) * d
 
 
 def bregman_order_check(t: ChartPoint, direction: np.ndarray, w: WeightVector) -> OrderFit:
@@ -127,9 +127,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 
 def _mean_slope(S: float) -> float:
     """m'(S) = sqrt(cosh S)."""
-    if abs(S) > 700.0:
-        raise Overflow("cosh overflows past |S| ~ 710")
-    return math.sqrt(math.cosh(S))
+    return math.sqrt(math.cosh(check_S(S)))
 
 
 def mean_function(S: float) -> MeanFunction:
@@ -148,8 +146,5 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
     to log coordinates: (m'(S))^2 alpha alpha^T = cosh(S) alpha alpha^T,
     which coincides entrywise with the log-chart Hessian metric."""
     t.require_chart(Chart.LOG)
-    if t.n != w.n:
-        raise DimensionMismatch("point dimension must match the weights")
-    S = float(np.dot(w.alpha, t.coords))
-    mp = _mean_slope(S)
+    mp = _mean_slope(S_at(t, w))
     return SymMatrix((mp * mp) * np.outer(w.alpha, w.alpha))

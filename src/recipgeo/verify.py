@@ -231,8 +231,8 @@ def suite_flows(seed: int = 0) -> SuiteResult:
         w = _random_weights(rng, n)
         t0 = rng.uniform(-3.0, 3.0, n)
         traj = flows.integrate_flow(t0, w, flows.FlowSign.DESCENT, (0.0, 2.0), tol=1e-10, samples=160)
-        S0 = flows._alpha_dot(t0, w.alpha)[0]
-        S_num = flows._alpha_dot(traj.positions, w.alpha)[0][:, 0]
+        S0 = core.alpha_dot(t0, w.alpha)
+        S_num = core.alpha_dot(traj.positions, w.alpha)
         S_closed = flows.closed_form_S(S0, traj.lambdas, w, flows.FlowSign.DESCENT)
         worst_s = max(worst_s, float(np.max(np.abs(S_num - S_closed))))
         drift = flows.radical_projections(traj.positions, w) - flows.radical_projections(t0, w)
@@ -243,9 +243,9 @@ def suite_flows(seed: int = 0) -> SuiteResult:
         n = 2
         w = _random_weights(rng, n)
         t0 = rng.uniform(-3.0, 3.0, n)
-        if abs(float(np.dot(w.alpha, t0))) < 0.2:
+        if abs(core.alpha_dot(t0, w.alpha)) < 0.2:
             t0 = t0 + w.alpha  # push S0 away from the fixed point
-        tau_star = flows.blowup_time(float(np.dot(w.alpha, t0)), w)
+        tau_star = flows.blowup_time(core.alpha_dot(t0, w.alpha), w)
         traj = flows.integrate_flow(t0, w, flows.FlowSign.ASCENT, (0.0, 1.5 * tau_star), tol=1e-10, samples=64)
         halt = traj.lambdas[-1]
         blowup_worst = max(blowup_worst, abs(halt - tau_star) / tau_star)
@@ -312,7 +312,7 @@ def suite_infogeo(seed: int = 0) -> SuiteResult:
         n = int(rng.integers(1, 4))
         w = _random_weights(rng, n)
         t = ChartPoint(Chart.LOG, rng.uniform(-2.0, 2.0, n))
-        if abs(float(np.dot(w.alpha, t.coords))) < 0.3:
+        if abs(core.S_at(t, w)) < 0.3:
             t = ChartPoint(Chart.LOG, t.coords + w.alpha)
         direction = rng.normal(size=n)
         direction /= float(np.linalg.norm(direction))
@@ -372,7 +372,7 @@ def suite_structure(seed: int = 0) -> SuiteResult:
         for _ in range(25):
             w = _random_weights(rng, n)
             t0 = rng.uniform(-2.0, 2.0, n)
-            t_zero = t0 - (float(np.dot(w.alpha, t0)) / w.norm_sq) * w.alpha
+            t_zero = t0 - (core.alpha_dot(t0, w.alpha) / w.norm_sq) * w.alpha
             x = ChartPoint(Chart.RATIO, np.exp(t_zero))
             m = hessian.hessian_ratio(x, w)
             scale = max(1.0, float(np.max(np.abs(m.array))))

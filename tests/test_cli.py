@@ -20,6 +20,7 @@ from recipgeo import (
     z_xy,
 )
 from recipgeo.cli import _json_safe, main
+from recipgeo.core import alpha_dot
 
 from conftest import assert_close
 
@@ -279,10 +280,10 @@ class TestFlow:
         assert doc["columns"] == header == ["tau", "S", "S_closed", "J", "t1", "t2", "r1"]
         assert len(doc["rows"]) == len(csv_rows) == 512
         w = WeightVector(np.array([0.5, 0.5]))
-        S0 = flows._alpha_dot(np.array([1.2, 0.8]), w.alpha)[0]
+        S0 = alpha_dot(np.array([1.2, 0.8]), w.alpha)
         for cells, row in zip(csv_rows, doc["rows"]):
             tau, t = float(cells[0]), np.array([float(cells[4]), float(cells[5])])
-            S = flows._alpha_dot(t, w.alpha)[0]
+            S = alpha_dot(t, w.alpha)
             want = [tau, S, flows.closed_form_S(S0, tau, w, flows.FlowSign.ASCENT),
                     cost_log(ChartPoint(Chart.LOG, t), w).J, *t, *flows.radical_projections(t, w)]
             assert row == want
@@ -354,6 +355,25 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        "hessian --chart log --alpha 1 --point 800",
+        "eval --chart log --alpha 1 --point 800",
+        "hessian --chart ratio --alpha 1,1 --point 1e300,1e300",
+        "ricci --alpha 1,1 --q 800",
+        "christoffel --alpha 1,1 --chart log --point 400,400",
+        "flow --alpha 1 --point 800 --span 0,1",
+        "flow --alpha 1e200,1e200 --point 1,1 --span 0,1",
+        "locus --alpha 1,1 --grid 3 --range 800,900",
+    ])
+    def test_past_the_overflow_wall_exits_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --range" if argv.startswith("locus") else "error: Overflow:")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--alpha", "1,-1", "--point", "2,2", "--span", "0,1", "--tol", "0"],

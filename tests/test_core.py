@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from recipgeo import (
     sample_log_points,
     transform,
 )
-from recipgeo.core import cost_ratio_rows
+from recipgeo import connection, flows, hessian, infogeo
+from recipgeo.core import S_MAX, S_at, alpha_dot, cost, cost_from_S, cost_ratio_rows
 from recipgeo.errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
@@ -59,6 +61,12 @@ class TestWeightVector:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             WeightVector(np.array([]))
+
+    def test_rejects_overflowing_norm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                WeightVector(np.array([1e200, 1e200]))
 
     def test_aliases(self):
         w = WeightVector(np.array([0.3, -0.7]))
@@ -203,6 +211,57 @@ class TestCostRows:
             cost_ratio_rows(np.array([[1.0, 2.0], [0.0, 1.0]]), w)
         with pytest.raises(DimensionMismatch):
             cost_ratio_rows(np.ones((4, 3)), w)
+
+
+# Every function that reads S = alpha . t (or q = S), as a function of S at
+# alpha = (1, 1), t = (S/2, S/2), returning the values that must be finite.
+W11 = WeightVector(np.array([1.0, 1.0]))
+LOG_AT = lambda S: ChartPoint(Chart.LOG, np.array([0.5 * S, 0.5 * S]))
+RATIO_AT = lambda S: ChartPoint(Chart.RATIO, np.exp(np.array([0.5 * S, 0.5 * S])))
+READS_S = {
+    "S_at": lambda S: S_at(RATIO_AT(S), W11),
+    "alpha_dot rows": lambda S: alpha_dot(np.array([[0.0, 0.0], LOG_AT(S).coords]), W11.alpha),
+    "cost_from_S": lambda S: cost_from_S(S),
+    "cost_log": lambda S: [*vars(cost_log(LOG_AT(S), W11)).values()][:3],
+    "cost_ratio": lambda S: [*vars(cost_ratio(RATIO_AT(S), W11)).values()][:3],
+    "cost qr": lambda S: cost(ChartPoint(Chart.QR, np.array([S, 0.0])), W11).J,
+    "cost_ratio_rows": lambda S: cost_ratio_rows(np.array([[1.0, 1.0], RATIO_AT(S).coords]), W11),
+    "hessian_log": lambda S: hessian.hessian_log(LOG_AT(S), W11).array,
+    "hessian_ratio": lambda S: hessian.hessian_ratio(RATIO_AT(S), W11).array,
+    "decompose": lambda S: np.hstack([*vars(hessian.decompose(RATIO_AT(S), W11)).values()]),
+    "det_hessian_ratio": lambda S: hessian.det_hessian_ratio(RATIO_AT(S), W11),
+    "singular_locus_value": lambda S: hessian.singular_locus_value(RATIO_AT(S), W11),
+    "fisher_info": lambda S: infogeo.fisher_info(LOG_AT(S), W11).array,
+    "bregman": lambda S: infogeo.bregman(LOG_AT(S), np.zeros(2), W11),
+    "bregman step": lambda S: infogeo.bregman(LOG_AT(0.0), LOG_AT(S).coords, W11),
+    "mean_function": lambda S: [infogeo.mean_function(S).m, infogeo.mean_function(S).m_prime],
+    "gradient_field": lambda S: flows.gradient_field(LOG_AT(S).coords, W11, flows.FlowSign.DESCENT),
+    "flow_solution": lambda S: flows.flow_solution(LOG_AT(S).coords, W11, flows.FlowSign.ASCENT).C,
+    "integrate_flow": lambda S: flows.integrate_flow(LOG_AT(S).coords, W11, flows.FlowSign.ASCENT,
+                                                     (0.0, 1.0), samples=4).positions,
+    "ricci_q": lambda S: connection.ricci_q(1.0, 1.0, S),
+}
+# sinh^2 S leaves the double range near S = 355, so cost_rate reads inf below
+# the wall; so does sinh 2q inside lc_christoffel_st, which raises OverflowError
+PAST_ONLY = {
+    "cost_rate": lambda S: flows.cost_rate(LOG_AT(S).coords, W11, flows.FlowSign.DESCENT),
+    "lc_christoffel_st": lambda S: connection.lc_christoffel_st(1.0, 1.0, 0.5 * S, 0.5 * S).array,
+}
+
+
+class TestOverflowWall:
+    @pytest.mark.parametrize("name", [*READS_S, *PAST_ONLY])
+    def test_overflow_past_s_max(self, name):
+        fn = {**READS_S, **PAST_ONLY}[name]
+        for S in (S_MAX + 0.5, -S_MAX - 0.5):
+            with pytest.raises(Overflow):
+                fn(S)
+
+    @pytest.mark.parametrize("name", list(READS_S))
+    def test_finite_below_s_max(self, name):
+        # S > 0 only: at S < 0 the ratio-chart Hessian entries cosh S / (x_i x_j)
+        # themselves pass the double range, whatever the wall
+        assert np.all(np.isfinite(np.asarray(READS_S[name](S_MAX - 0.5), dtype=float)))
 
 
 class TestTransform:

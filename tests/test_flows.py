@@ -19,6 +19,7 @@ from recipgeo import (
     radical_basis,
 )
 from recipgeo import flows
+from recipgeo.core import alpha_dot
 from recipgeo.errors import BlowupTime, InvalidSampleCount
 
 from conftest import assert_close
@@ -256,7 +257,7 @@ class TestDimensionalReduction:
         np.testing.assert_array_equal(one.lambdas, four.lambdas)
         assert (one.accepted, one.rejected, one.nfev) == (four.accepted, four.rejected, four.nfev)
         assert (one.h_min, one.h_max) == (four.h_min, four.h_max)
-        S4 = flows._alpha_dot(four.positions, w4.alpha)[0][:, 0]
+        S4 = alpha_dot(four.positions, w4.alpha)
         np.testing.assert_allclose(S4, one.positions[:, 0], rtol=1e-15, atol=0.0)
 
     def test_radical_projections_conserved_by_construction(self, rng):

@@ -83,6 +83,15 @@ COMMANDS = [
     "eval --alpha 1 --chart log --point 1e-8 --format json",
     # an n = 3 ratio-chart Hessian with its determinant and determinant lemma
     "hessian --alpha 0.3,0.9,-0.4 --chart ratio --point 1.5,0.7,2 --format json",
+    # past the overflow wall S_MAX: exit 2 with a typed error, no traceback
+    "hessian --chart log --alpha 1 --point 800",
+    "eval --chart log --alpha 1 --point 800",
+    "hessian --chart ratio --alpha 1,1 --point 1e300,1e300",
+    "ricci --alpha 1,1 --q 800",
+    "christoffel --alpha 1,1 --chart log --point 400,400",
+    "flow --alpha 1 --point 800 --span 0,1",
+    "flow --alpha 1e200,1e200 --point 1,1 --span 0,1",
+    "locus --alpha 1,1 --grid 3 --range 800,900",
 ]
 
 
