@@ -82,9 +82,9 @@ class WeightVector:
             raise ZeroWeightVector("alpha must be finite")
         if not np.any(arr != 0.0):
             raise ZeroWeightVector("alpha must have at least one nonzero component")
-        with np.errstate(over="ignore"):
-            if not math.isfinite(np.dot(arr, arr)):
-                raise Overflow("|alpha|^2 overflows the double range")
+        norm = math.hypot(*arr.tolist())
+        if not math.isfinite(norm * norm):  # a Python float overflows to inf, unwarned
+            raise Overflow("|alpha|^2 overflows the double range")
         object.__setattr__(self, "alpha", arr)
 
     @classmethod
