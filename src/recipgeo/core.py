@@ -6,7 +6,8 @@ The cost of a positive point x under exponent weights alpha is
 
 evaluated through S = log R = sum_i alpha_i log x_i so that extreme ratio
 products never have to be formed directly.  In logarithmic coordinates
-t = log x the same cost reads J(t) = cosh(alpha . t) - 1.
+t = log x the same cost reads J(t) = cosh(alpha . t) - 1.  The closed forms
+in S form it with alpha_dot or S_at, behind the one wall S_MAX.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class ScalarSummary:
 
 
 def _check_dims(p: ChartPoint, w: WeightVector) -> None:
-    if p.n != w.n:
+    if p.coords.size != w.alpha.size:  # not p.n, w.n: this runs with every S
         raise DimensionMismatch(f"point has n={p.n}, weights have n={w.n}")
 
 
