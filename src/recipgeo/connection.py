@@ -200,8 +200,7 @@ def ricci_xy(a: float, b: float, Z):
 
 
 def ricci_q(a: float, b: float, q: float) -> float:
-    """Ricci scalar in the q variable; equals ricci_xy at Z = e^{2q}.
-    |q| may not exceed S_MAX."""
+    """Ricci scalar in the q variable, |q| <= S_MAX; equals ricci_xy at Z = e^{2q}."""
     sh = math.sinh(check_S(q))
     if abs(sh) < EPS_SINGULAR:
         raise SingularLocus("q = 0 lies on the zero-cost hypersurface")

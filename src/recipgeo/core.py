@@ -6,8 +6,7 @@ The cost of a positive point x under exponent weights alpha is
 
 evaluated through S = log R = sum_i alpha_i log x_i so that extreme ratio
 products never have to be formed directly.  In logarithmic coordinates
-t = log x the same cost reads J(t) = cosh(alpha . t) - 1.  The closed forms
-in S form it with alpha_dot or S_at, behind the one wall S_MAX.
+t = log x the same cost reads J(t) = cosh(alpha . t) - 1.
 """
 
 from __future__ import annotations
@@ -67,6 +66,10 @@ class Chart(enum.Enum):
     RATIO = "ratio"
     LOG = "log"
     QR = "qr"
+
+
+# for log_coords, which every S passes: Chart.X costs about 0.2 us on Python 3.11
+_RATIO, _LOG = Chart.RATIO, Chart.LOG
 
 
 @dataclass(frozen=True)
@@ -180,12 +183,12 @@ def check_S(S):
     return S
 
 
-def alpha_dot(y, alpha: np.ndarray):
-    """S = alpha . y within S_MAX: a float at one point y (n floats), an
-    (N,) array at rows (N, n).  The rows take one dot product each, so every
-    S, and every value computed from it with math_for(S), has the bits of the
+def alpha_dot(y: np.ndarray, alpha: np.ndarray):
+    """S = alpha . y within S_MAX: a float at one point y (n,), an (N,) array
+    at rows y (N, n).  The rows take one dot product each, so every S, and
+    every value computed from it with math_for(S), has the bits of the
     one-point call."""
-    if isinstance(y, np.ndarray) and y.ndim == 2:
+    if y.ndim == 2:
         return check_S((y[:, None, :] @ alpha)[:, 0])
     return check_S(float(np.dot(alpha, y)))
 
@@ -193,10 +196,10 @@ def alpha_dot(y, alpha: np.ndarray):
 def log_coords(p: ChartPoint, w: WeightVector) -> np.ndarray:
     """The log coordinates t of a point in any chart."""
     _check_dims(p, w)
-    if p.chart is Chart.LOG:
-        return p.coords
-    if p.chart is Chart.RATIO:
+    if p.chart is _RATIO:
         return np.log(p.coords)
+    if p.chart is _LOG:
+        return p.coords
     return qr_to_log(p.coords, w.a, w.b)
 
 
@@ -255,9 +258,8 @@ def transform(p: ChartPoint, target: Chart, w: WeightVector) -> ChartPoint:
     _check_dims(p, w)
     if p.chart is target:
         return p
-    if target is Chart.QR or p.chart is Chart.QR:
-        if w.n != 2:
-            raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
+    if target is Chart.QR and w.n != 2:  # a QR point has n = 2 already
+        raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
 
     if p.chart is Chart.LOG and target is Chart.RATIO:
         coords = np.exp(p.coords)
