@@ -8,19 +8,26 @@ caller-supplied stop predicate at accepted steps only.
 The rhs `rhs(t, y)` and the predicate `stop(t, y)` receive the state as a
 list of Python floats, and the rhs returns a sequence of floats.  A trial
 step runs on Python floats, because on states of a few components one numpy
-call costs more than its arithmetic.  Each weighted sum of stage derivatives
-is one expression per component, written in stage order from 0.0 with the
-zero weights kept: y_i + h*(0.0 + a_s1*k1_i + a_s2*k2_i + ...).  Every term
-is one IEEE multiply and one add, so the sums have the bits of an in-order
-product-and-reduce over the stages, and a NaN or infinity in any stage
-reaches y5 and rejects the step.
+call costs more than its arithmetic.
+
+The trial step is straight-line code, generated once per state size n on
+first use (n = 1 for flows, n = 4 for geodesics) and cached; `step`
+dispatches on len(y).  The generator writes every weighted sum of stage
+derivatives as one expression per component, in stage order from 0.0 with
+the zero weights kept: y_i + h*(0.0 + a_s1*k1_i + a_s2*k2_i + ...), each
+tableau weight embedded by its repr, which round-trips the float.  Every
+term is one IEEE multiply and one add, so the sums have the bits of an
+in-order product-and-reduce over the stages, signed zeros included, and a
+NaN or infinity in any stage reaches y5 and rejects the step.  `exec` only
+ever compiles text built from this module's constants and the integer n;
+no value from a caller enters the source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +48,6 @@ _A = (
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the local truncation error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# The same tableau by entry, with stages k1..k7 as in Hairer, Norsett &
-# Wanner, for the sums that step() writes out.
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) = _A[1:]
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 # Quartic continuous extension of the order-5 solution (Shampine 1986; Hairer,
 # Norsett & Wanner, Solving ODEs I, sec. II.6): within an accepted step,
 #   y(t + theta h) = y + h * (K^T @ _P) @ (theta, theta^2, theta^3, theta^4),
@@ -76,8 +77,7 @@ MAX_STEPS = 500_000
 Rhs = Callable[[float, List[float]], Sequence[float]]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     accepted: bool
     error_estimate: float
     next_step: float
@@ -90,6 +90,56 @@ def _retreat(h: float) -> StepResult:
     """The rejection of a step with no usable error estimate (a non-finite
     or failed stage): the next try is 0.2 |h|."""
     return StepResult(False, math.inf, abs(h) * _SHRINK_LIMIT)
+
+
+def _step_source(n: int) -> str:
+    """Python source of the trial step on states of n components, written as
+    the module docstring says.  The state and every stage derivative are
+    unpacked into locals y_i and k<s>_i, so the rhs returns n values."""
+    def unpack(name):
+        return f"[{', '.join(f'{name}_{i}' for i in range(n))}] = {name}"
+
+    def weighted(weights, i):
+        return "0.0" + "".join(f" + {w!r} * k{s + 1}_{i}" for s, w in enumerate(weights))
+
+    lines = ["def step(rhs, y, t, h, tol, k1):", f"    {unpack('y')}", f"    {unpack('k1')}"]
+    for s in range(1, 7):
+        at = f"t + {_C[s]!r} * h"
+        state = ", ".join(f"y_{i} + h * ({weighted(_A[s], i)})" for i in range(n))
+        lines += ["    try:",
+                  f"        k{s + 1} = rhs({at}, [{state}])",
+                  "    except _RHS_FAILURES as exc:",
+                  f"        raise RhsEvaluationFailure({at}, str(exc), {s}) from exc",
+                  f"    {unpack(f'k{s + 1}')}"]
+    lines += [f"    y5_{i} = y_{i} + h * ({weighted(_B, i)})" for i in range(n)]
+    ratios = [f"abs(h * ({weighted(_E, i)})) / (tol + tol * abs(y5_{i}))" for i in range(n)]
+    # max(r_0, r_1, ...) keeps the first of equal or NaN ratios, as max(list) does
+    err = f"max({', '.join(ratios)})" if n > 1 else ratios[0]
+    lines += [f"    y5 = [{', '.join(f'y5_{i}' for i in range(n))}]",
+              f"    err = {err}",
+              "    k = [k1, k2, k3, k4, k5, k6, k7]",
+              f"    if not ({''.join(f'isfinite(y5_{i}) and ' for i in range(n))}isfinite(err)):",
+              "        return _retreat(h), y5, k",
+              "    if err == 0.0:",
+              f"        factor = {_GROW_LIMIT!r}",
+              "    else:",
+              f"        factor = min({_GROW_LIMIT!r}, max({_SHRINK_LIMIT!r}, {_SAFETY!r} * err ** {_ORDER_EXP!r}))",
+              "    return StepResult(err <= 1.0, err, abs(h) * factor), y5, k"]
+    return "\n".join(lines) + "\n"
+
+
+class _Steps(dict):
+    """The trial step for each state size n, compiled on first use."""
+
+    def __missing__(self, n: int):
+        scope = {"isfinite": math.isfinite, "StepResult": StepResult, "_retreat": _retreat,
+                 "_RHS_FAILURES": _RHS_FAILURES, "RhsEvaluationFailure": RhsEvaluationFailure}
+        exec(compile(_step_source(n), f"<ode.step n={n}>", "exec"), scope)
+        self[n] = scope["step"]
+        return self[n]
+
+
+_STEPS = _Steps()
 
 
 def step(
@@ -108,34 +158,10 @@ def step(
     both meaningful only when accepted).  The scaled error norm is the max
     component of |y5 - y4| / (tol + tol |y5|).  A step whose y5 or error is
     not finite is rejected with next step 0.2 |h|.  The next step is not yet
-    clamped to the span's step bounds; the driver does that.
+    clamped to the span's step bounds; the driver does that.  The work is
+    done by the straight-line step generated for len(y) components.
     """
-    k = [k1]
-    try:
-        k.append(rhs(t + _C[1] * h, [yi + h * (0.0 + _A21 * a) for yi, a in zip(y, *k)]))
-        k.append(rhs(t + _C[2] * h, [yi + h * (0.0 + _A31 * a + _A32 * b) for yi, a, b in zip(y, *k)]))
-        k.append(rhs(t + _C[3] * h, [yi + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-                                     for yi, a, b, c in zip(y, *k)]))
-        k.append(rhs(t + _C[4] * h, [yi + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                                     for yi, a, b, c, d in zip(y, *k)]))
-        k.append(rhs(t + _C[5] * h, [yi + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                                     for yi, a, b, c, d, e in zip(y, *k)]))
-        k.append(rhs(t + _C[6] * h, [yi + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e
-                                                + _A76 * f) for yi, a, b, c, d, e, f in zip(y, *k)]))
-    except _RHS_FAILURES as exc:
-        raise RhsEvaluationFailure(t + _C[len(k)] * h, str(exc), len(k)) from exc
-    y5 = [yi + h * (0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * f + _B7 * g)
-          for yi, a, b, c, d, e, f, g in zip(y, *k)]
-    ratios = [abs(h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g))
-              / (tol + tol * abs(v)) for v, a, b, c, d, e, f, g in zip(y5, *k)]
-    err = max(ratios, default=0.0)  # NaN only if y5 is not finite
-    if not (all(map(math.isfinite, y5)) and math.isfinite(err)):
-        return _retreat(h), y5, k
-    if err == 0.0:
-        factor = _GROW_LIMIT
-    else:
-        factor = min(_GROW_LIMIT, max(_SHRINK_LIMIT, _SAFETY * err**_ORDER_EXP))
-    return StepResult(err <= 1.0, err, abs(h) * factor), y5, k
+    return _STEPS[len(y)](rhs, y, t, h, tol, k1)
 
 
 @dataclass

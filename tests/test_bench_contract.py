@@ -14,8 +14,9 @@ them should fail here rather than in a benchmark run:
   qr_residual; Trajectory.lambdas, positions, velocities, termination and
   samples, whose length the tracer takes as the residual sample count;
 - flows: FlowSign and integrate_flow;
-- ode: step (StepResult.accepted), dense_sample, and integrate called as
-  integrate(rhs, y0, span, tol, stop=...);
+- ode: step (StepResult.accepted), which integrate must call through the
+  module attribute on every trial step, dense_sample, and integrate called
+  as integrate(rhs, y0, span, tol, stop=...);
 - verify.SUITES and cli.main.
 The operations run in a child process, because the tracer rewrites module
 attributes; nothing under perfbench/ is written.
@@ -79,6 +80,12 @@ def test_benchmark_operations_run_and_check():
     traced = report["flow traced"]["calls"]
     assert traced["flows.integrate_flow"] == 1
     assert traced["ode.integrate"] == 1
+    # the tracer sees every trial step through the module-level ode.step: each
+    # integration makes one rhs call at its start and six per trial step
+    for label in ("flow traced", "geodesic traced"):
+        traced = report[label]["calls"]
+        assert traced.get("ode.step", 0) > 0, label
+        assert traced["ode.rhs"] == traced["ode.integrate"] + 6 * traced["ode.step"], (label, traced)
     traced = report["field traced"]["calls"]
     assert traced["hessian.to_dense"] == 3   # hessian_ratio, hessian_log and fisher_info
     assert "ode.integrate" not in traced
