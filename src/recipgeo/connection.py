@@ -16,10 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Chart, ChartPoint, check_S, math_for
+from .core import S_MAX, Chart, ChartPoint, check_S, math_for
 from .errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
+    Overflow,
     SingularLocus,
     SingularMetric,
     ZeroExponent,
@@ -84,6 +85,14 @@ def z_xy(a: float, b: float, x, y, xp=None):
     return xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y)))
 
 
+def _check_2q(q: float, formed: str) -> float:
+    """q itself, once 2|q| <= S_MAX, the wall of the closed forms that form
+    e^{2q} or sinh 2q; otherwise (NaN included) raises Overflow."""
+    if not 2.0 * abs(q) <= S_MAX:
+        raise Overflow(f"2|q| = {2.0 * abs(q):g} exceeds S_MAX = {S_MAX:g}, the overflow wall of {formed}")
+    return q
+
+
 def delta(a: float, b: float, Z):
     """The Levi-Civita denominator Delta = (Z - 1)((a+b-1) Z + (a+b+1))."""
     zero, sing, _ = z_factors(a, b, Z)
@@ -91,10 +100,16 @@ def delta(a: float, b: float, Z):
 
 
 def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTensor:
-    """Closed-form Levi-Civita Christoffel symbols in the (x, y) chart."""
+    """Closed-form Levi-Civita Christoffel symbols in the (x, y) chart, where
+    q = a log x + b log y keeps 2|q| within S_MAX.  The components form
+    Z^2 = e^{4q}, so a point inside the wall whose components pass the
+    double range also raises Overflow."""
     if a == 0.0 or b == 0.0:
         raise ZeroExponent("closed forms require a, b != 0")
-    Z = z_xy(a, b, x, y)
+    if x <= 0.0 or y <= 0.0:
+        raise NonPositiveCoordinate("ratio coordinates must be positive")
+    q = _check_2q(a * math.log(x) + b * math.log(y), "Z = e^(2q)")
+    Z = math.exp(2.0 * q)  # z_xy(a, b, x, y), bit for bit
     Delta = delta(a, b, Z)
     if abs(Delta) < EPS_SINGULAR:
         raise SingularMetric(f"|Delta| = {abs(Delta):.3e} below guard {EPS_SINGULAR:g}")
@@ -113,13 +128,16 @@ def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTens
         + 4.0 * Z * a * b - 2.0 * Z * b * b - 4.0 * Z
         + 2.0 * a * b + 2.0 * a + b * b + 3.0 * b + 2.0
     ) / (2.0 * y * Delta)
-    return ChristoffelTensor.from_2d(xxx, xxy, xyy, yxx, yxy, yyy)
+    components = (xxx, xxy, xyy, yxx, yxy, yyy)
+    if not all(map(math.isfinite, components)):
+        raise Overflow(f"the Christoffel symbols at q = {q:g} pass the double range")
+    return ChristoffelTensor.from_2d(*components)
 
 
 def lc_christoffel_st(a: float, b: float, s: float, t: float) -> ChristoffelTensor:
     """The same connection in (s, t) = (log x, log y); every component
-    depends on the point only through q = a s + b t, held within S_MAX."""
-    q = check_S(a * s + b * t)
+    depends on the point only through q = a s + b t, with 2|q| within S_MAX."""
+    q = _check_2q(check_S(a * s + b * t), "sinh 2q")
     sh = math.sinh(q)
     if abs(sh) < EPS_SINGULAR:
         raise SingularMetric("q = 0 (zero-cost hypersurface)")
@@ -181,9 +199,10 @@ def ricci_xy(a: float, b: float, Z):
     """Ricci scalar of the ratio-chart Hessian metric as a function of
     Z = x^{2a} y^{2b}; vanishes identically when a + b = 0.
 
-    A float Z must be positive and off both degeneracy loci.  An array of Z
-    gives NaN within EPS_SINGULAR of a locus, where the float call raises
-    SingularLocus, except that a + b = 0 gives exact zeros."""
+    A float Z must be positive and off both degeneracy loci, and a value
+    past the double range raises Overflow.  An array of Z gives NaN within
+    EPS_SINGULAR of a locus, where the float call raises SingularLocus,
+    except that a + b = 0 gives exact zeros."""
     zero, sing, curv = z_factors(a, b, Z)
     ricci = lambda sqrt: 4.0 * (a + b) * Z * sqrt(Z) * curv / (zero * zero * sing * sing)
     if not isinstance(Z, np.ndarray):
@@ -191,7 +210,10 @@ def ricci_xy(a: float, b: float, Z):
             raise NonPositiveCoordinate("Z must be positive")
         if abs(zero) < EPS_SINGULAR or abs(sing) < EPS_SINGULAR:
             raise SingularLocus("Ricci scalar diverges on the degeneracy loci")
-        return ricci(math.sqrt)
+        value = ricci(math.sqrt)
+        if not math.isfinite(value):
+            raise Overflow(f"the Ricci scalar at Z = {Z:g} passes the double range")
+        return value
     if a + b == 0.0:
         return np.zeros_like(Z)
     near = (np.abs(zero) < EPS_SINGULAR) | (np.abs(sing) < EPS_SINGULAR)

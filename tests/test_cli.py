@@ -365,6 +365,9 @@ class TestBadInput:
         "flow --alpha 1 --point 800 --span 0,1",
         "flow --alpha 1e200,1e200 --point 1,1 --span 0,1",
         "locus --alpha 1,1 --grid 3 --range 800,900",
+        "christoffel --chart log --alpha 1,1 --point 200,200",
+        "christoffel --alpha 1,1 --point 1e100,1e100",
+        "ricci --alpha 1,1 --Z 1e300",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():

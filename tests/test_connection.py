@@ -22,7 +22,8 @@ from recipgeo import (
     ricci_xy,
     z_xy,
 )
-from recipgeo.errors import SingularLocus, SingularMetric, ZeroExponent
+from recipgeo.core import S_MAX
+from recipgeo.errors import Overflow, SingularLocus, SingularMetric, ZeroExponent
 
 from conftest import assert_close, assert_matrix_close
 
@@ -211,6 +212,39 @@ class TestRicci:
             nums.append(curvature_from_christoffel(gamma_fn, np.array([s, t]), metric_fn=log_metric(w)))
         assert_close(nums[0], nums[1], 1e-7)
         assert_close(nums[0], ricci_q(a, b, q), 1e-6)
+
+
+class TestZWall:
+    """The closed forms that form e^{2q} or sinh 2q are walled at 2|q| <= S_MAX
+    and finite just inside it; the Ricci scalar of a float Z past the double
+    range raises instead of returning NaN."""
+
+    @pytest.mark.parametrize("q", [0.5 * S_MAX + 0.5, -0.5 * S_MAX - 0.5])
+    def test_christoffel_past_the_wall(self, q):
+        with pytest.raises(Overflow):
+            lc_christoffel_xy(1.0, 1.0, math.exp(0.5 * q), math.exp(0.5 * q))
+        with pytest.raises(Overflow):
+            lc_christoffel_st(1.0, 1.0, 0.5 * q, 0.5 * q)
+
+    @pytest.mark.parametrize("q", [0.5 * S_MAX - 0.5, -0.5 * S_MAX + 0.5])
+    def test_christoffel_st_finite_inside_the_wall(self, q):
+        assert np.all(np.isfinite(lc_christoffel_st(1.0, 1.0, 0.5 * q, 0.5 * q).array))
+
+    @pytest.mark.parametrize("q", [0.25 * S_MAX - 0.5, -0.5 * S_MAX + 0.5])
+    def test_christoffel_xy_finite(self, q):
+        x = math.exp(0.5 * q)
+        assert np.all(np.isfinite(lc_christoffel_xy(1.0, 1.0, x, x).array))
+
+    def test_christoffel_xy_past_the_double_range(self):
+        # inside the wall, but Z^2 = e^{4q} leaves the double range near q = 177
+        x = math.exp(0.5 * (0.5 * S_MAX - 0.5))
+        with pytest.raises(Overflow):
+            lc_christoffel_xy(1.0, 1.0, x, x)
+
+    def test_ricci_past_the_double_range(self):
+        with pytest.raises(Overflow):
+            ricci_xy(1.0, 1.0, 1e300)
+        assert math.isfinite(ricci_xy(1.0, 1.0, 1e100))
 
 
 class TestCurvatureOracle:

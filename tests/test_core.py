@@ -242,7 +242,8 @@ READS_S = {
     "ricci_q": lambda S: connection.ricci_q(1.0, 1.0, S),
 }
 # sinh^2 S leaves the double range near S = 355, so cost_rate reads inf below
-# the wall; so does sinh 2q inside lc_christoffel_st, which raises OverflowError
+# the wall; so would sinh 2q inside lc_christoffel_st, which is walled at
+# 2|q| <= S_MAX
 PAST_ONLY = {
     "cost_rate": lambda S: flows.cost_rate(LOG_AT(S).coords, W11, flows.FlowSign.DESCENT),
     "lc_christoffel_st": lambda S: connection.lc_christoffel_st(1.0, 1.0, 0.5 * S, 0.5 * S).array,

@@ -92,6 +92,10 @@ COMMANDS = [
     "flow --alpha 1 --point 800 --span 0,1",
     "flow --alpha 1e200,1e200 --point 1,1 --span 0,1",
     "locus --alpha 1,1 --grid 3 --range 800,900",
+    # the closed forms in Z = e^(2q) and sinh 2q, walled at 2|q| <= S_MAX
+    "christoffel --chart log --alpha 1,1 --point 200,200",
+    "christoffel --alpha 1,1 --point 1e100,1e100",
+    "ricci --alpha 1,1 --Z 1e300",
 ]
 
 
