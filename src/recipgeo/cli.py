@@ -116,14 +116,36 @@ def _csv(table: Dict[str, Sequence]) -> str:
     return "\n".join([",".join(table)] + [",".join(row) for row in zip(*cells)]) + "\n"
 
 
+def _json_cells(column) -> list:
+    """The JSON text of each cell of a column as it appears in a row of
+    `_dumps(doc, indent=2)`: a float array through float.__repr__ (as json
+    writes floats) with non-finite values as null, an integer array through
+    str, any other column cell by cell through _dumps."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        cells = list(map(float.__repr__, column.tolist()))
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = "null"
+        return cells
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return [_dumps(v, indent=2).replace("\n", "\n      ") for v in column]
+
+
+def _json_rows(table: Dict[str, Sequence]) -> str:
+    """The rows of a table as JSON text, byte for byte what _dumps writes at
+    indent=2 for the list of its rows inside a document."""
+    rows = ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*map(_json_cells, table.values()))]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
+
 def _emit(args, table: Dict[str, Sequence], meta: dict) -> None:
     """Write the table (column name -> numpy array or list of Python values)
     as CSV, meta to a JSON sidecar or stderr, or as one JSON document."""
     meta = {"version": __version__, **meta}
     if args.format == "json":
-        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-        doc = {"meta": meta, "columns": list(table), "rows": list(zip(*cols))}
-        text = _dumps(doc, indent=2) + "\n"
+        # the keys sort as columns, meta, rows: the rows block closes the document
+        head = _dumps({"meta": meta, "columns": list(table)}, indent=2)
+        text = f'{head[:-2]},\n  "rows": {_json_rows(table)}\n}}\n'
         if args.output:
             _atomic_write(args.output, text)
         else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from recipgeo import (
+    __version__,
     Chart,
     ChartPoint,
     TerminationReason,
@@ -19,7 +20,7 @@ from recipgeo import (
     verify,
     z_xy,
 )
-from recipgeo.cli import _json_safe, main
+from recipgeo.cli import _emit, _json_safe, main
 from recipgeo.core import alpha_dot
 
 from conftest import assert_close
@@ -536,6 +537,26 @@ class TestFisher:
 
 
 class TestJson:
+    @pytest.mark.parametrize("table", [
+        {"x": np.array([0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0]),
+         "flags": np.array([0, 7, -2, 3, 1, 0, 4, 6]),
+         "value": [None, True, False, "G^x_xy", np.float64(math.nan), np.int64(-3), 2, [1.5, math.inf]]},
+        {"tau": np.array([], dtype=float), "S": np.array([], dtype=float)},
+        {},
+    ], ids=["mixed", "no-rows", "no-columns"])
+    def test_column_writer_matches_json_module(self, capsys, table):
+        # the rows block is written from the columns; its bytes are those of
+        # the json module on the whole document
+        class Args:
+            format, output = "json", None
+
+        meta = {"alpha": [0.5, math.nan], "termination": "span"}
+        _emit(Args, table, meta)
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        doc = {"meta": {"version": __version__, **meta}, "columns": list(table), "rows": list(zip(*cols))}
+        want = json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert capsys.readouterr().out == want
+
     def test_json_safe_nested(self):
         value = {"k": [math.inf, -math.inf, math.nan, np.float64(0.5), np.int64(7),
                        True, None, "text"]}
