@@ -49,7 +49,6 @@ from .connection import (
 from .geodesics import (
     GeodesicState,
     TangentConstraint,
-    TerminationReason,
     Trajectory,
     affine_geodesic_log,
     affine_geodesic_ratio,
@@ -62,24 +61,23 @@ from .geodesics import (
 )
 from .flows import (
     FlowSign,
-    FlowSolution,
     blowup_time,
     closed_form_S,
     cost_rate,
-    flow_solution,
+    flow_constant,
     gradient_field,
     integrate_flow,
 )
 from .infogeo import (
-    MeanFunction,
     OrderFit,
     bregman,
     bregman_order_check,
     fisher_info,
     itakura_saito,
     mean_function,
+    mean_slope,
     symmetrized_is,
 )
-from .ode import StepResult
+from .ode import StepResult, TerminationReason
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from . import __version__, connection, core, flows, geodesics, hessian, infogeo,
 from .core import Chart, ChartPoint, WeightVector
 from .tolerances import matrix_deviation
 from .errors import InadmissibleInitialState, RecipGeoError
-from .geodesics import TerminationReason
+from .ode import TerminationReason
 
 SEED_ENV = "RECIPGEO_SEED"
 
@@ -234,8 +234,11 @@ def cmd_christoffel(args) -> int:
         raise UsageError("--point needs two coordinates")
     chart = Chart(args.chart)
     if chart is Chart.RATIO:
-        gamma = connection.lc_christoffel_xy(w.a, w.b, coords[0], coords[1])
-        Z = connection.z_xy(w.a, w.b, coords[0], coords[1])
+        # Python floats: a component past the double range is inf, unwarned,
+        # until lc_christoffel_xy's own finiteness check
+        x, y = map(float, coords)
+        gamma = connection.lc_christoffel_xy(w.a, w.b, x, y)
+        Z = connection.z_xy(w.a, w.b, x, y)
         names = "xy"
         report = {"Z": Z, "Delta": connection.delta(w.a, w.b, Z)}
     elif chart is Chart.LOG:
@@ -348,9 +351,9 @@ def cmd_flow(args) -> int:
         raise UsageError("--point dimension must match --alpha")
     span = _parse_span(args.span)
     sign = flows.FlowSign.ASCENT if args.sign == "ascent" else flows.FlowSign.DESCENT
-    sol = flows.flow_solution(t0, w, sign)
-    traj = flows.integrate_flow(t0, w, sign, span, tol=args.tol, samples=args.samples)
     S0 = core.alpha_dot(t0, w.alpha)
+    C = flows.flow_constant(S0)
+    traj = flows.integrate_flow(t0, w, sign, span, tol=args.tol, samples=args.samples)
     S = core.alpha_dot(traj.positions, w.alpha)
     r = flows.radical_projections(traj.positions, w)
     table = {
@@ -366,7 +369,7 @@ def cmd_flow(args) -> int:
         "alpha": list(map(float, w.alpha)),
         "sign": args.sign,
         **_run_meta(traj),
-        "C": sol.C,
+        "C": C,
         "tau_star": tau_star,
         "tol": args.tol,
     }
@@ -437,10 +440,9 @@ def cmd_fisher(args) -> int:
     t = ChartPoint(Chart.LOG, _parse_floats(args.point, "point"))
     info = infogeo.fisher_info(t, w)
     S = core.S_at(t, w)
-    mf = infogeo.mean_function(S)
     dense = info.array
     report = {f"I[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
-    report.update(S=S, m=mf.m, m_prime=mf.m_prime,
+    report.update(S=S, m=infogeo.mean_function(S), m_prime=infogeo.mean_slope(S),
                   hessian_dev=matrix_deviation(dense, hessian.hessian_log(t, w).array))
     _emit_report(args, report, {"alpha": list(map(float, w.alpha))})
     return EXIT_OK
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="position then velocity, comma-separated")
     p.add_argument("--span", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=int, default=geodesics.DENSE_SAMPLES)
     p.add_argument("--residual-output", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_geodesic)
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("ascent", "descent"), default="descent")
     p.add_argument("--span", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=int, default=geodesics.DENSE_SAMPLES)
     _add_common(p)
     p.set_defaults(fn=cmd_flow)
 

@@ -45,8 +45,8 @@ class AffineStructure(enum.Enum):
 @dataclass(frozen=True)
 class ChristoffelTensor:
     """Connection coefficients Gamma^k_ij as one dense (n, n, n) array indexed
-    [k, i, j]; the constructor symmetrises the lower pair, so Gamma^k_ij =
-    Gamma^k_ji holds exactly."""
+    [k, i, j], kept as given: the constructor checks its shape, and every
+    function here builds it with Gamma^k_ij = Gamma^k_ji bit for bit."""
 
     array: np.ndarray
 
@@ -54,7 +54,7 @@ class ChristoffelTensor:
         g = np.asarray(self.array, dtype=float)
         if g.ndim != 3 or not g.shape[0] == g.shape[1] == g.shape[2]:
             raise DimensionMismatch("gamma must be (n, n, n)")
-        object.__setattr__(self, "array", 0.5 * (g + g.transpose(0, 2, 1)))
+        object.__setattr__(self, "array", g)
 
     @classmethod
     def from_2d(cls, xxx, xxy, xyy, yxx, yxy, yyy) -> "ChristoffelTensor":
@@ -101,14 +101,19 @@ def delta(a: float, b: float, Z):
 
 def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTensor:
     """Closed-form Levi-Civita Christoffel symbols in the (x, y) chart, where
-    q = a log x + b log y keeps 2|q| within S_MAX.  The components form
-    Z^2 = e^{4q}, so a point inside the wall whose components pass the
-    double range also raises Overflow."""
+    q = a log x + b log y keeps 2|q| within S_MAX and the components'
+    x^2 and y^2 keep 2|log x| and 2|log y| within it too.  The components
+    form Z^2 = e^{4q} and ratios such as y / x^2, so a point inside both
+    walls whose components pass the double range also raises Overflow."""
     if a == 0.0 or b == 0.0:
         raise ZeroExponent("closed forms require a, b != 0")
     if x <= 0.0 or y <= 0.0:
         raise NonPositiveCoordinate("ratio coordinates must be positive")
-    q = _check_2q(a * math.log(x) + b * math.log(y), "Z = e^(2q)")
+    log_x, log_y = math.log(x), math.log(y)
+    q = _check_2q(a * log_x + b * log_y, "Z = e^(2q)")
+    reach = 2.0 * max(abs(log_x), abs(log_y))
+    if not reach <= S_MAX:
+        raise Overflow(f"2|log x| or 2|log y| = {reach:g} exceeds S_MAX = {S_MAX:g}, the overflow wall of x^2 and y^2")
     Z = math.exp(2.0 * q)  # z_xy(a, b, x, y), bit for bit
     Delta = delta(a, b, Z)
     if abs(Delta) < EPS_SINGULAR:

@@ -4,26 +4,29 @@ The flow dt/dtau = +-alpha sinh(alpha . t) moves only along alpha: the
 scalar S = alpha . t obeys dS/dtau = +-|alpha|^2 sinh S with the closed-form
 solution S(tau) = 2 artanh(C e^{+-|alpha|^2 tau}), C = tanh(S0/2), while all
 projections onto the radical distribution are conserved.  Descent decays to
-the zero-cost leaf; ascent blows up at tau* = -ln|C| / |alpha|^2.
+the zero-cost leaf; ascent blows up at tau* = -ln|C| / |alpha|^2.  These
+are plain functions: flow_constant (C), radical_projections, blowup_time.
 
 integrate_flow therefore integrates the one scalar equation in S and
 rebuilds the positions as t = t0 + (S - S0) / |alpha|^2 alpha, whatever n.
+Its `termination` is CONVERGED or BLOWUP where its stop predicate halts
+the run, otherwise the integrator's own end.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import ode
-from .core import Chart, ChartPoint, WeightVector, alpha_dot, entrywise, math_for
+from .core import Chart, ChartPoint, WeightVector, alpha_dot, check_S, entrywise, math_for
 from .errors import BlowupTime, DimensionMismatch, InvalidSpan
-from .geodesics import DENSE_SAMPLES, TerminationReason, Trajectory, _require_samples
+from .geodesics import DENSE_SAMPLES, Trajectory, _require_samples
 from .hessian import radical_basis
+from .ode import TerminationReason
 
 # |S| below this counts as converged to the minimum (descent)
 CONVERGED_S = 1e-12
@@ -36,16 +39,6 @@ BLOWUP_S = 20.0
 class FlowSign(enum.Enum):
     ASCENT = 1.0
     DESCENT = -1.0
-
-
-@dataclass(frozen=True)
-class FlowSolution:
-    """Closed-form description of one flow line."""
-
-    sign: FlowSign
-    C: float                      # tanh(S0 / 2)
-    transverse: np.ndarray        # conserved radical projections r^k(0)
-    valid_interval: Tuple[float, float]
 
 
 def _coords(t, w: WeightVector) -> np.ndarray:
@@ -70,9 +63,10 @@ def cost_rate(t, w: WeightVector, sign: FlowSign) -> float:
     return sign.value * w.norm_sq * s * s
 
 
-def _flow_constant(S0: float) -> float:
-    """C = tanh(S0/2), the constant of S(tau) = 2 artanh(C e^{+-|alpha|^2 tau})."""
-    return math.tanh(0.5 * S0)
+def flow_constant(S0: float) -> float:
+    """C = tanh(S0/2), the constant of S(tau) = 2 artanh(C e^{+-|alpha|^2 tau}),
+    for |S0| <= S_MAX."""
+    return math.tanh(0.5 * check_S(S0))
 
 
 def closed_form_S(S0: float, tau, w: WeightVector, sign: FlowSign):
@@ -80,7 +74,7 @@ def closed_form_S(S0: float, tau, w: WeightVector, sign: FlowSign):
     at each entry of an array of tau with the bits of its float call (libm
     entrywise) and NaN where the float call raises BlowupTime (|arg| >= 1)."""
     xp = math_for(tau)
-    arg = _flow_constant(S0) * xp.exp(sign.value * w.norm_sq * tau)
+    arg = flow_constant(S0) * xp.exp(sign.value * w.norm_sq * tau)
     if xp is math:
         if abs(arg) >= 1.0:
             raise BlowupTime(f"flow argument reached 1 (ascent blowup at tau* = {blowup_time(S0, w)})")
@@ -93,7 +87,7 @@ def closed_form_S(S0: float, tau, w: WeightVector, sign: FlowSign):
 
 def blowup_time(S0: float, w: WeightVector) -> float:
     """Finite horizon -ln|C| / |alpha|^2 of the ascent flow (inf for S0 = 0)."""
-    C = _flow_constant(S0)
+    C = flow_constant(S0)
     if C == 0.0:
         return math.inf
     return -math.log(abs(C)) / w.norm_sq
@@ -107,16 +101,6 @@ def radical_projections(t: np.ndarray, w: WeightVector) -> np.ndarray:
     if t.ndim == 2:
         return (t[:, None, :] @ basis.T)[:, 0]
     return basis @ t
-
-
-def flow_solution(t0, w: WeightVector, sign: FlowSign) -> FlowSolution:
-    """Integration constants and validity interval of the flow from t0."""
-    arr = _coords(t0, w)
-    S0 = alpha_dot(arr, w.alpha)
-    tau_star = blowup_time(S0, w)
-    interval = (-math.inf, tau_star) if sign is FlowSign.ASCENT else (-tau_star, math.inf)
-    return FlowSolution(sign=sign, C=_flow_constant(S0), transverse=radical_projections(arr, w),
-                        valid_interval=interval)
 
 
 def integrate_flow(

@@ -11,7 +11,6 @@ differentiation of positions.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from .errors import (
     ZeroQ,
     ZeroSum,
 )
+from .ode import TerminationReason
 
 DELTA_DOMAIN = 1e-12
 # Both charts stop a Levi-Civita run once |Delta| < DELTA_STOP.  Accepted
@@ -40,17 +40,6 @@ DELTA_DOMAIN = 1e-12
 # of these floors, so every such run reaches it.
 DELTA_STOP = 1e-5
 DENSE_SAMPLES = 512
-
-
-class TerminationReason(enum.Enum):
-    SPAN_COMPLETE = "span_complete"
-    SINGULARITY_REACHED = "singularity_reached"
-    DOMAIN_BOUNDARY = "domain_boundary"
-    STEP_UNDERFLOW = "step_underflow"
-    # flow-specific outcomes
-    CONVERGED = "converged"
-    BLOWUP = "blowup"
-    MAX_STEPS = "max_steps"
 
 
 @dataclass(frozen=True)
@@ -104,16 +93,10 @@ class Trajectory:
 
         `split(ys)` maps the sampled states, one per row, to (positions,
         velocities, accelerations)."""
-        termination = {
-            "span": TerminationReason.SPAN_COMPLETE,
-            "underflow": TerminationReason.STEP_UNDERFLOW,
-            "maxsteps": TerminationReason.MAX_STEPS,
-            "stopped": sol.stop_reason,
-        }[sol.status]
         lam_end = sol.ts[-1]
         lambdas = np.linspace(lam0, lam_end, samples) if lam_end != lam0 else np.array([lam0])
         positions, velocities, accelerations = split(ode.dense_sample(sol, lambdas))
-        return cls(chart, lambdas, positions, velocities, accelerations, termination,
+        return cls(chart, lambdas, positions, velocities, accelerations, sol.termination,
                    sol.accepted, sol.rejected, sol.nfev, sol.h_min, sol.h_max)
 
 

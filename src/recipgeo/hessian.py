@@ -5,9 +5,10 @@ everywhere, with an (n-1)-dimensional radical (null) distribution.  In ratio
 coordinates it is rank-one-plus-diagonal and generically invertible,
 degenerating on R = 1 and on the locus tanh(S) = sum(alpha).
 
-Each Hessian is a SymMatrix, whose constructor symmetrises its input; read
-the dense (n, n) matrix as `.array`.  The radical basis is a plain (n-1, n)
-array, and determinants and locus values are floats.
+Each Hessian is a SymMatrix holding the dense (n, n) matrix as `.array`;
+every function here builds that array symmetric bit for bit, so the wrapper
+only checks its shape.  The radical basis is a plain (n-1, n) array, and
+determinants and locus values are floats.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ DET_ZERO_COST_S = 1e-12
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Symmetric matrix held as one dense (n, n) array; the constructor
-    symmetrises its input as (m + m^T) / 2."""
+    """Symmetric matrix held as one dense (n, n) array, kept as given: the
+    constructor checks that it is square, and the caller builds it with
+    m[i, j] and m[j, i] equal."""
 
     array: np.ndarray
 
@@ -43,7 +45,7 @@ class SymMatrix:
         m = np.asarray(self.array, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("dense input must be square")
-        object.__setattr__(self, "array", 0.5 * (m + m.T))
+        object.__setattr__(self, "array", m)
 
     def to_dense(self) -> np.ndarray:
         return self.array.copy()

@@ -6,8 +6,9 @@ whose second-order expansion is the degenerate Hessian metric; and that
 metric is realized as the Fisher information of a one-parameter Gaussian
 family with mean m(S) = integral_0^S sqrt(cosh u) du.
 
-The divergences return floats; the Fisher information is a SymMatrix, read
-as `.array` like the Hessians.
+The divergences, mean_function (m, by quadrature) and mean_slope (m' =
+sqrt(cosh S), closed form) return floats; the Fisher information reads m'
+alone and is a SymMatrix, read as `.array` like the Hessians.
 """
 
 from __future__ import annotations
@@ -27,15 +28,6 @@ QUADRATURE_TOL = 1e-12
 DEGENERATE_DOT = 1e-12
 # largest step of the Bregman remainder probe, halved three times
 ORDER_PROBE_STEP = 1e-2
-
-
-@dataclass(frozen=True)
-class MeanFunction:
-    """The Gaussian mean m(S) and its derivative sqrt(cosh S)."""
-
-    S: float
-    m: float
-    m_prime: float
 
 
 @dataclass(frozen=True)
@@ -125,20 +117,18 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, fa, b, fb, m, fm, whole, tol, 0)
 
 
-def _mean_slope(S: float) -> float:
-    """m'(S) = sqrt(cosh S)."""
+def mean_slope(S: float) -> float:
+    """m'(S) = sqrt(cosh S), for |S| <= S_MAX."""
     return math.sqrt(math.cosh(check_S(S)))
 
 
-def mean_function(S: float) -> MeanFunction:
+def mean_function(S: float) -> float:
     """m(S) = integral_0^S sqrt(cosh u) du by adaptive Simpson quadrature,
-    with m'(S) = sqrt(cosh S).  Odd in S, slope >= 1 everywhere."""
-    m_prime = _mean_slope(S)
-    if S == 0.0:
-        return MeanFunction(S=0.0, m=0.0, m_prime=m_prime)
+    for |S| <= S_MAX.  Odd in S, with slope mean_slope(S) >= 1 everywhere."""
+    if check_S(S) == 0.0:
+        return 0.0
     integrand = lambda u: math.sqrt(math.cosh(u))
-    m = math.copysign(_adaptive_simpson(integrand, 0.0, abs(S), QUADRATURE_TOL), S)
-    return MeanFunction(S=S, m=m, m_prime=m_prime)
+    return math.copysign(_adaptive_simpson(integrand, 0.0, abs(S), QUADRATURE_TOL), S)
 
 
 def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -146,5 +136,5 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
     to log coordinates: (m'(S))^2 alpha alpha^T = cosh(S) alpha alpha^T,
     which coincides entrywise with the log-chart Hessian metric."""
     t.require_chart(Chart.LOG)
-    mp = _mean_slope(S_at(t, w))
+    mp = mean_slope(S_at(t, w))
     return SymMatrix((mp * mp) * np.outer(w.alpha, w.alpha))

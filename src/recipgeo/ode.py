@@ -3,7 +3,8 @@
 Dormand-Prince coefficients are written out as rational constants so runs
 are bit-reproducible.  The driver supports both span directions, retreats
 from failed right-hand-side evaluations by shrinking the step, and checks a
-caller-supplied stop predicate at accepted steps only.
+caller-supplied stop predicate at accepted steps only.  A run names how it
+ended once, as `termination`: the predicate's value or a TerminationReason.
 
 The rhs `rhs(t, y)` and the predicate `stop(t, y)` receive the state as a
 list of Python floats, and the rhs returns a sequence of floats.  A trial
@@ -25,6 +26,7 @@ no value from a caller enters the source.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -71,10 +73,22 @@ _GROW_LIMIT = 5.0
 FIRST_STEP = 1e-3
 MIN_STEP = 1e-14
 MAX_STEP = 0.1
-# trial steps, accepted or rejected, after which a run ends with "maxsteps"
+# trial steps, accepted or rejected, after which a run ends with MAX_STEPS
 MAX_STEPS = 500_000
 
 Rhs = Callable[[float, List[float]], Sequence[float]]
+
+
+class TerminationReason(enum.Enum):
+    # the ends of a run that the driver names
+    SPAN_COMPLETE = "span_complete"
+    STEP_UNDERFLOW = "step_underflow"
+    MAX_STEPS = "max_steps"
+    # the values of the geodesic and flow stop predicates
+    SINGULARITY_REACHED = "singularity_reached"
+    DOMAIN_BOUNDARY = "domain_boundary"
+    CONVERGED = "converged"
+    BLOWUP = "blowup"
 
 
 class StepResult(NamedTuple):
@@ -170,9 +184,10 @@ class RawSolution:
 
     `ts` holds the initial and every accepted param, `ys` the (N, n) states
     there; `qs[i]` is the (n, 4) dense-output matrix K^T @ _P of the step
-    from ts[i] to ts[i+1].  `nfev` counts rhs evaluations; `h_min`/`h_max`
-    are the smallest and largest |ts[i+1] - ts[i]| (NaN if no step was
-    accepted).
+    from ts[i] to ts[i+1].  `termination` is the stop predicate's value
+    where it halted the run, otherwise SPAN_COMPLETE, STEP_UNDERFLOW or
+    MAX_STEPS.  `nfev` counts rhs evaluations; `h_min`/`h_max` are the
+    smallest and largest |ts[i+1] - ts[i]| (NaN if no step was accepted).
     """
 
     ts: List[float]
@@ -180,8 +195,7 @@ class RawSolution:
     qs: np.ndarray
     accepted: int
     rejected: int
-    status: str  # span | underflow | maxsteps | stopped
-    stop_reason: Optional[object]
+    termination: object
     nfev: int
     h_min: float
     h_max: float
@@ -198,14 +212,14 @@ def integrate(
     relative and absolute tolerance `tol`.
 
     The first trial step is FIRST_STEP of the span length, every next step
-    is clamped to [MIN_STEP, MAX_STEP] of it, and a run ends with status
-    "maxsteps" after MAX_STEPS trial steps.
+    is clamped to [MIN_STEP, MAX_STEP] of it, and a run ends with MAX_STEPS
+    after MAX_STEPS trial steps.
 
     The stop predicate is evaluated at the initial state and after every
-    accepted step; a non-None value halts with status "stopped".  A failed
-    right-hand-side evaluation inside a trial step rejects it like a
-    non-finite one, shrinking the step until it either clears the bad region
-    or underflows.
+    accepted step; a non-None value halts the run and becomes its
+    termination.  A failed right-hand-side evaluation inside a trial step
+    rejects it like a non-finite one, shrinking the step until it either
+    clears the bad region or underflows.
     """
     t0, t1 = float(span[0]), float(span[1])
     if t1 == t0:
@@ -229,12 +243,11 @@ def integrate(
     ts, ys, ks = [t], list(y), []
     accepted = rejected = 0
     nfev = 1
-    status = "span"
-    reason = None if stop is None else stop(t, y)
+    termination = None if stop is None else stop(t, y)
     h = FIRST_STEP * length
-    while reason is None and (t - t1) * direction < 0.0:
+    while termination is None and (t - t1) * direction < 0.0:
         if accepted + rejected >= MAX_STEPS:
-            status = "maxsteps"
+            termination = TerminationReason.MAX_STEPS
             break
         remaining = abs(t1 - t)
         if remaining <= 1e-15 * max(abs(t), abs(t1)):
@@ -250,7 +263,7 @@ def integrate(
         if not result.accepted:
             rejected += 1
             if h_try <= min_step * (1.0 + 1e-12):
-                status = "underflow"
+                termination = TerminationReason.STEP_UNDERFLOW
                 break
             continue
         t = t + direction * h_try
@@ -261,15 +274,15 @@ def integrate(
             ks.extend(ki)
         accepted += 1
         if stop is not None:
-            reason = stop(t, y)
-    if reason is not None:
-        status = "stopped"
+            termination = stop(t, y)
+    if termination is None:
+        termination = TerminationReason.SPAN_COMPLETE
     # (M, 7, n) stage derivatives -> (M, n, 4) dense-output matrices
     stages = np.array(ks, dtype=float).reshape(accepted, 7, n)
     hs = np.abs(np.diff(ts)) if accepted else np.array([math.nan])
     return RawSolution(
         ts=ts, ys=np.array(ys, dtype=float).reshape(len(ts), n), qs=stages.transpose(0, 2, 1) @ _P,
-        accepted=accepted, rejected=rejected, status=status, stop_reason=reason, nfev=nfev,
+        accepted=accepted, rejected=rejected, termination=termination, nfev=nfev,
         h_min=float(hs.min()), h_max=float(hs.max()),
     )
 

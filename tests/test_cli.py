@@ -369,6 +369,10 @@ class TestBadInput:
         "christoffel --chart log --alpha 1,1 --point 200,200",
         "christoffel --alpha 1,1 --point 1e100,1e100",
         "ricci --alpha 1,1 --Z 1e300",
+        # q inside the wall: x^2 leaves the double range past the coordinate
+        # wall, and y / x^2 inside it
+        "christoffel --alpha 1,1.001 --point 1e-200,1e200",
+        "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():

@@ -11,8 +11,12 @@ from recipgeo import (
     WeightVector,
     affine_connection,
     christoffel_from_metric,
+    cost_ratio,
     curvature_from_christoffel,
     delta,
+    fd_hessian,
+    fisher_info,
+    hessian_log,
     hessian_ratio,
     lc_christoffel_st,
     lc_christoffel_xy,
@@ -241,10 +245,84 @@ class TestZWall:
         with pytest.raises(Overflow):
             lc_christoffel_xy(1.0, 1.0, x, x)
 
+    def test_christoffel_xy_coordinate_wall(self):
+        # q = 0.46 lies inside the wall, but x^2 = 1e-400 leaves the double range
+        with pytest.raises(Overflow):
+            lc_christoffel_xy(1.0, 1.001, 1e-200, 1e200)
+
     def test_ricci_past_the_double_range(self):
         with pytest.raises(Overflow):
             ricci_xy(1.0, 1.0, 1e300)
         assert math.isfinite(ricci_xy(1.0, 1.0, 1e100))
+
+
+def _log_point(rng, n):
+    return ChartPoint(Chart.LOG, rng.uniform(-3.0, 3.0, n))
+
+
+def _ratio_point(rng, n):
+    return ChartPoint(Chart.RATIO, np.exp(rng.uniform(-1.5, 1.5, n)))
+
+
+def _weights(rng, n):
+    return WeightVector(rng.uniform(0.2, 1.5, n) * np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0))
+
+
+def _pullback(rng, n):
+    w = _weights(rng, n)
+    if n % 2:
+        return pullback(lambda p: hessian_ratio(p, w), _log_point(rng, n), Chart.RATIO, Chart.LOG, w)
+    return pullback(lambda p: hessian_log(p, w), _ratio_point(rng, n), Chart.LOG, Chart.RATIO, w)
+
+
+def _fd_hessian(rng, n):
+    w = _weights(rng, n)
+    return fd_hessian(lambda p: cost_ratio(p, w).J, _ratio_point(rng, n))
+
+
+def _christoffel_xy(rng, _n):
+    w = _weights(rng, 2)
+    return lc_christoffel_xy(w.a, w.b, *_ratio_point(rng, 2).coords.tolist())
+
+
+def _christoffel_st(rng, _n):
+    w = _weights(rng, 2)
+    return lc_christoffel_st(w.a, w.b, *_log_point(rng, 2).coords.tolist())
+
+
+def _christoffel_oracle(rng, _n):
+    return christoffel_from_metric(ratio_metric(_weights(rng, 2)), _ratio_point(rng, 2).coords)
+
+
+# Each producer of a SymMatrix or ChristoffelTensor at one seeded point
+# (n from 1 to 5 for the matrices, n = 2 for the connections).
+PRODUCERS = {
+    "hessian_log": lambda rng, n: hessian_log(_log_point(rng, n), _weights(rng, n)),
+    "hessian_ratio": lambda rng, n: hessian_ratio(_ratio_point(rng, n), _weights(rng, n)),
+    "fisher_info": lambda rng, n: fisher_info(_log_point(rng, n), _weights(rng, n)),
+    "pullback": _pullback,
+    "fd_hessian": _fd_hessian,
+    "lc_christoffel_xy": _christoffel_xy,
+    "lc_christoffel_st": _christoffel_st,
+    "christoffel_from_metric": _christoffel_oracle,
+}
+
+
+class TestBuiltSymmetric:
+    @pytest.mark.parametrize("name", list(PRODUCERS))
+    def test_array_equals_its_transpose(self, name, rng):
+        # the wrappers keep the arrays as built, so each producer must build
+        # its own symmetric: bit for bit, -0.0 against 0.0 included
+        checked = 0
+        for i in range(200):
+            try:
+                array = PRODUCERS[name](rng, 1 + i % 5).array
+            except (SingularMetric, Overflow):
+                continue
+            bits = array.view(np.int64)
+            assert np.array_equal(bits, bits.swapaxes(-1, -2)), array
+            checked += 1
+        assert checked >= 150
 
 
 class TestCurvatureOracle:

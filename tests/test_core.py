@@ -234,9 +234,9 @@ READS_S = {
     "fisher_info": lambda S: infogeo.fisher_info(LOG_AT(S), W11).array,
     "bregman": lambda S: infogeo.bregman(LOG_AT(S), np.zeros(2), W11),
     "bregman step": lambda S: infogeo.bregman(LOG_AT(0.0), LOG_AT(S).coords, W11),
-    "mean_function": lambda S: [infogeo.mean_function(S).m, infogeo.mean_function(S).m_prime],
+    "mean_function": lambda S: [infogeo.mean_function(S), infogeo.mean_slope(S)],
     "gradient_field": lambda S: flows.gradient_field(LOG_AT(S).coords, W11, flows.FlowSign.DESCENT),
-    "flow_solution": lambda S: flows.flow_solution(LOG_AT(S).coords, W11, flows.FlowSign.ASCENT).C,
+    "flow_constant": lambda S: flows.flow_constant(S),
     "integrate_flow": lambda S: flows.integrate_flow(LOG_AT(S).coords, W11, flows.FlowSign.ASCENT,
                                                      (0.0, 1.0), samples=4).positions,
     "ricci_q": lambda S: connection.ricci_q(1.0, 1.0, S),

@@ -13,7 +13,7 @@ from recipgeo import (
     closed_form_S,
     cost_log,
     cost_rate,
-    flow_solution,
+    flow_constant,
     gradient_field,
     integrate_flow,
     radical_basis,
@@ -81,25 +81,24 @@ class TestClosedForm:
 
 
 class TestFlowSolution:
+    """The closed-form constants of one flow line: C, the conserved radical
+    projections and the horizon tau*."""
+
     def test_constants(self):
         w = WeightVector(np.array([0.6, 0.8]))
         t0 = np.array([1.0, 0.5])
-        sol = flow_solution(t0, w, FlowSign.DESCENT)
         S0 = float(np.dot(w.alpha, t0))
-        assert_close(sol.C, math.tanh(S0 / 2.0), 1e-14)
+        assert_close(flow_constant(S0), math.tanh(S0 / 2.0), 1e-14)
         basis = radical_basis(w)
-        np.testing.assert_allclose(sol.transverse, basis @ t0, rtol=1e-14)
+        np.testing.assert_allclose(flows.radical_projections(t0, w), basis @ t0, rtol=1e-14)
 
     def test_intervals(self):
+        # an ascent lives on (-inf, tau*), a descent on (-tau*, inf): tau* is
+        # finite off the zero-cost leaf and infinite on it
         w = WeightVector(np.array([1.0]))
-        asc = flow_solution(np.array([1.0]), w, FlowSign.ASCENT)
-        desc = flow_solution(np.array([1.0]), w, FlowSign.DESCENT)
-        assert asc.valid_interval[0] == -math.inf
-        assert math.isfinite(asc.valid_interval[1])
-        assert math.isfinite(desc.valid_interval[0])
-        assert desc.valid_interval[1] == math.inf
-        fixed = flow_solution(np.array([0.0]), w, FlowSign.ASCENT)
-        assert fixed.valid_interval == (-math.inf, math.inf)
+        tau_star = blowup_time(alpha_dot(np.array([1.0]), w.alpha), w)
+        assert math.isfinite(tau_star) and tau_star > 0.0
+        assert blowup_time(alpha_dot(np.array([0.0]), w.alpha), w) == math.inf
 
 
 class TestIntegrateFlow:

@@ -33,7 +33,9 @@ from recipgeo.errors import (
     InvalidSampleCount,
     InvalidSpan,
     RecipGeoError,
+    SingularMetric,
     ZeroExponent,
+    ZeroQ,
     ZeroSum,
 )
 
@@ -163,6 +165,16 @@ class TestLcRhs:
         acc2 = lc_rhs_xy(GeodesicState(Chart.RATIO, [y, x], [vy, vx], 0.0), b, a)
         assert_close(acc1[0], acc2[1], 1e-12)
         assert_close(acc1[1], acc2[0], 1e-12)
+
+    @pytest.mark.parametrize("rhs, chart, position, a, b, error", [
+        (lc_rhs_xy, Chart.RATIO, [1.0, 1.0], 0.4, 0.7, SingularMetric),  # R = 1: Delta = 0
+        (lc_rhs_qr, Chart.QR, [0.0, 0.3], 0.4, 0.7, ZeroQ),  # the zero-cost line q = 0
+        (lc_rhs_qr, Chart.QR, [math.atanh(0.5), 0.3], 0.2, 0.3, SingularMetric),  # tanh q = a + b: L = 0
+    ], ids=["xy-zero-cost", "qr-zero-q", "qr-secondary-locus"])
+    def test_guards(self, rhs, chart, position, a, b, error):
+        with pytest.raises(RecipGeoError) as exc:
+            rhs(GeodesicState(chart, position, [0.5, -0.2], 0.0), a, b)
+        assert type(exc.value) is error
 
     def test_qr_symmetric_preserves_zero_rdot(self):
         st = GeodesicState(Chart.QR, [0.9, 0.2], [-0.5, 0.0], 0.0)

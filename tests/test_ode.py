@@ -120,7 +120,7 @@ class TestNonFiniteStages:
     def test_driver_recovers(self, value):
         clean = ode.integrate(failing_at_call(0, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)  # no call 0
         sol = ode.integrate(failing_at_call(40, value), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10)
-        assert sol.status == "span" and sol.ts[-1] == 1.0
+        assert sol.termination is TerminationReason.SPAN_COMPLETE and sol.ts[-1] == 1.0
         assert sol.rejected == clean.rejected + 1
         np.testing.assert_allclose(sol.ys[-1], np.exp(-1.0) * np.array([1.0, 2.0]), rtol=1e-9)
 
@@ -137,7 +137,7 @@ class TestNonFiniteStages:
 
         monkeypatch.setattr(ode, "MAX_STEPS", 20_000)
         sol = ode.integrate(rhs, np.zeros(2), (0.0, 1.0))
-        assert sol.status == "underflow"
+        assert sol.termination is TerminationReason.STEP_UNDERFLOW
         assert 0.5 - 1e-12 <= sol.ts[-1] <= 0.5
         assert sol.rejected > 0 and sol.accepted + sol.rejected < ode.MAX_STEPS
 
@@ -165,12 +165,12 @@ class TestObservability:
     def test_nfev_with_rhs_failure(self):
         rhs, calls = self.counted(failing_at_call(30, FloatingPointError("bad")))
         sol = ode.integrate(rhs, np.array([1.0]), (0.0, 1.0))
-        assert sol.status == "span"
+        assert sol.termination is TerminationReason.SPAN_COMPLETE
         assert sol.nfev == calls[0] < 1 + 6 * (sol.accepted + sol.rejected)
 
     def test_nfev_when_stopped_at_start(self):
         sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), stop=lambda t, y: "here")
-        assert (sol.status, sol.nfev, sol.accepted) == ("stopped", 1, 0)
+        assert (sol.termination, sol.nfev, sol.accepted) == ("here", 1, 0)
         assert math.isnan(sol.h_min) and math.isnan(sol.h_max)
         assert sol.ys.shape == (1, 1) and sol.qs.shape == (0, 1, 4)
 
@@ -185,7 +185,7 @@ class TestObservability:
 class TestStepAndDriver:
     def test_exponential_growth(self):
         sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0), 1e-10)
-        assert sol.status == "span"
+        assert sol.termination is TerminationReason.SPAN_COMPLETE
         assert abs(sol.ys[-1][0] - math.e) < 1e-9
 
     def test_constant_rhs_all_accepted_at_max_step(self):
@@ -262,7 +262,7 @@ class TestStepAndDriver:
         # a run ends after MAX_STEPS trial steps, and its trajectory says so
         monkeypatch.setattr(ode, "MAX_STEPS", 5)
         sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 1.0))
-        assert sol.status == "maxsteps" and sol.accepted + sol.rejected == 5
+        assert sol.termination is TerminationReason.MAX_STEPS and sol.accepted + sol.rejected == 5
         w = WeightVector(np.array([0.5, 0.5]))
         traj = integrate_flow(np.array([1.2, 0.8]), w, FlowSign.DESCENT, (0.0, 3.0))
         assert traj.termination is TerminationReason.MAX_STEPS
@@ -271,8 +271,7 @@ class TestStepAndDriver:
     def test_stop_predicate(self):
         stop = lambda t, y: "past" if y[0] > 2.0 else None
         sol = ode.integrate(exp_rhs, np.array([1.0]), (0.0, 10.0), 1e-10, stop=stop)
-        assert sol.status == "stopped"
-        assert sol.stop_reason == "past"
+        assert sol.termination == "past"
         assert sol.ys[-1][0] > 2.0
         assert sol.ys[-2][0] <= 2.0 + 1e-12
 

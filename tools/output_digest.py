@@ -96,6 +96,12 @@ COMMANDS = [
     "christoffel --chart log --alpha 1,1 --point 200,200",
     "christoffel --alpha 1,1 --point 1e100,1e100",
     "ricci --alpha 1,1 --Z 1e300",
+    # q inside the wall: x^2 past the coordinate wall 2|log x| <= S_MAX, and
+    # y / x^2 past the double range inside it
+    "christoffel --alpha 1,1.001 --point 1e-200,1e200",
+    "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
+    # the quadrature's m next to its closed-form slope m'
+    "fisher --alpha 1 --point 30",
 ]
 
 
