@@ -7,23 +7,33 @@ integrated adaptively in either the (x, y) or the (q, r) chart, with
 termination at the degeneracy loci, and every trajectory records velocities
 and accelerations so the cross-chart residual harness needs no numerical
 differentiation of positions.
+
+Each chart has one kernel, built for a fixed (a, b) with the constants of
+its closed-form acceleration computed once.  A run builds its kernel once
+and hands ode.integrate the kernel's rhs and stop closures, so each rhs
+evaluation is one Python call; lc_rhs_xy/lc_rhs_qr, the sampled
+accelerations of a trajectory and qr_residual evaluate the same kernel.
+Only parenthesised constants and constant prefixes that group from the left
+are hoisted, so every value has the bits of the closed form evaluated term
+by term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import ode
-from .connection import EPS_SINGULAR, AffineStructure, delta, z_xy
-from .core import S_MAX, Chart, ChartPoint, log_to_qr, math_for
+from .connection import EPS_SINGULAR, AffineStructure
+from .core import ROW_MATH, S_MAX, Chart, ChartPoint, log_to_qr
 from .errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
     InvalidSpan,
+    NonPositiveCoordinate,
     SingularMetric,
     UnsupportedChartPair,
     ZeroExponent,
@@ -211,33 +221,63 @@ def affine_trajectory(
     )
 
 
-# -- Levi-Civita right-hand sides --------------------------------------------
+# -- Levi-Civita kernels ------------------------------------------------------
 
-def _accel_xy(a: float, b: float, x, y, vx, vy):
-    """Geodesic acceleration (x'', y'') in the ratio chart.  Takes floats
-    (raising within EPS_SINGULAR of Delta = 0) or equal-shape arrays (no
-    guard: NaN only where Delta = 0; each row has the bits of its one-point
-    call)."""
-    Z = z_xy(a, b, x, y)
-    Delta = delta(a, b, Z)
-    if isinstance(Delta, np.ndarray):
-        Delta = np.where(Delta == 0.0, math.nan, Delta)
-    elif abs(Delta) < EPS_SINGULAR:
-        raise SingularMetric(f"|Delta| = {abs(Delta):.3e} below guard")
-    Z2 = Z * Z
-    ax = (
-        -((a + 1.0) * (a + 2.0 * b + 2.0) - 2.0 * Z * (a * a - 2.0 * a * b + 2.0)
-          + (a - 1.0) * Z2 * (a + 2.0 * b - 2.0)) / (2.0 * Delta * x) * vx * vx
-        - b * (2.0 * Z * (b - 2.0 * a) + (b - 1.0) * Z2 + b + 1.0) / (Delta * y) * vx * vy
-        + b * x * ((b - 1.0) * Z2 + 6.0 * b * Z + b + 1.0) / (2.0 * Delta * y * y) * vy * vy
-    )
-    ay = (
-        -((b + 1.0) * (2.0 * a + b + 2.0) - 2.0 * Z * (-2.0 * a * b + b * b + 2.0)
-          + (b - 1.0) * Z2 * (2.0 * a + b - 2.0)) / (2.0 * Delta * y) * vy * vy
-        - a * (2.0 * Z * (a - 2.0 * b) + (a - 1.0) * Z2 + a + 1.0) / (Delta * x) * vx * vy
-        + a * y * ((a - 1.0) * Z2 + 6.0 * a * Z + a + 1.0) / (2.0 * Delta * x * x) * vx * vx
-    )
-    return ax, ay
+def _xy_kernel(a: float, b: float, xp=math):
+    """The ratio-chart Levi-Civita run at fixed (a, b), as (rhs, stop).
+
+    rhs(lam, s) is (x', y', x'', y'') at s = (x, y, x', y'), with Z and
+    Delta computed as connection.z_xy and connection.delta compute them.
+    With xp = math it takes floats, raising NonPositiveCoordinate at x or
+    y <= 0 and SingularMetric within EPS_SINGULAR of Delta = 0.  With
+    xp = core.ROW_MATH it takes equal-shape rows with no Delta guard: NaN
+    only where Delta = 0, each row the bits of its one-point call.
+    stop(lam, s) is the run's guard on floats: DOMAIN_BOUNDARY once x or y
+    <= DELTA_DOMAIN, SINGULARITY_REACHED once |Delta| < DELTA_STOP."""
+    exp, log = xp.exp, xp.log
+    rows = xp is not math
+    d1, d2 = a + b - 1.0, a + b + 1.0  # Delta = (Z - 1)(d1 Z + d2)
+    am1, bm1, a6, b6 = a - 1.0, b - 1.0, 6.0 * a, 6.0 * b
+    am2b, bm2a = a - 2.0 * b, b - 2.0 * a
+    cx0, cx1, cx2 = (a + 1.0) * (a + 2.0 * b + 2.0), a * a - 2.0 * a * b + 2.0, a + 2.0 * b - 2.0
+    cy0, cy1, cy2 = (b + 1.0) * (2.0 * a + b + 2.0), -2.0 * a * b + b * b + 2.0, 2.0 * a + b - 2.0
+
+    def rhs(_lam, s):
+        x, y, vx, vy = s
+        try:
+            Z = exp(2.0 * (a * log(x) + b * log(y)))
+        except ValueError:  # the log of x <= 0 or y <= 0
+            raise NonPositiveCoordinate("ratio coordinates must be positive") from None
+        Delta = (Z - 1.0) * (d1 * Z + d2)
+        if rows:
+            Delta = np.where(Delta == 0.0, math.nan, Delta)
+        elif abs(Delta) < EPS_SINGULAR:
+            raise SingularMetric(f"|Delta| = {abs(Delta):.3e} below guard")
+        Z2 = Z * Z
+        twoZ, aZ2, bZ2 = 2.0 * Z, am1 * Z2, bm1 * Z2
+        Dx2, Dy2 = 2.0 * Delta * x, 2.0 * Delta * y
+        ax = (
+            -(cx0 - twoZ * cx1 + aZ2 * cx2) / Dx2 * vx * vx
+            - b * (twoZ * bm2a + bZ2 + b + 1.0) / (Delta * y) * vx * vy
+            + b * x * (bZ2 + b6 * Z + b + 1.0) / (Dy2 * y) * vy * vy
+        )
+        ay = (
+            -(cy0 - twoZ * cy1 + bZ2 * cy2) / Dy2 * vy * vy
+            - a * (twoZ * am2b + aZ2 + a + 1.0) / (Delta * x) * vx * vy
+            + a * y * (aZ2 + a6 * Z + a + 1.0) / (Dx2 * x) * vx * vx
+        )
+        return [vx, vy, ax, ay]
+
+    def stop(_lam, s):
+        x, y = s[0], s[1]
+        if x <= DELTA_DOMAIN or y <= DELTA_DOMAIN:
+            return TerminationReason.DOMAIN_BOUNDARY
+        Z = math.exp(2.0 * (a * math.log(x) + b * math.log(y)))
+        if abs((Z - 1.0) * (d1 * Z + d2)) < DELTA_STOP:
+            return TerminationReason.SINGULARITY_REACHED
+        return None
+
+    return rhs, stop
 
 
 def lc_rhs_xy(state: GeodesicState, a: float, b: float) -> np.ndarray:
@@ -245,52 +285,67 @@ def lc_rhs_xy(state: GeodesicState, a: float, b: float) -> np.ndarray:
     ratio chart; equals minus the Christoffel contraction."""
     if state.chart is not Chart.RATIO:
         raise UnsupportedChartPair("lc_rhs_xy expects a ratio-chart state")
-    x, y = state.position
-    vx, vy = state.velocity
-    return np.array(_accel_xy(a, b, x, y, vx, vy))
+    rhs, _ = _xy_kernel(a, b)
+    return np.array(rhs(state.lam, state.position.tolist() + state.velocity.tolist())[2:])
 
 
-def _qr_lhs_parts(a: float, b: float, q, qd, rd, xp=math):
-    """Split the implicit rotated-chart geodesic equations as
-    LHS_q = L q'' + Fq and LHS_r = L r'' + Fr, all coefficients functions
-    of q only.  Takes floats or equal-shape arrays, with `xp` the module
-    for cosh and sinh (math, core.ROW_MATH or numpy); undefined at q = 0."""
-    n2 = a * a + b * b
-    ch = xp.cosh(q)
-    sh = xp.sinh(q)
-    L = 2.0 * n2 * n2 * ((a + b) * ch - sh)
+def _qr_kernel(a: float, b: float, xp=math, parts: bool = False):
+    """The rotated-chart Levi-Civita run at fixed (a, b), as (rhs, stop).
+
+    The implicit geodesic equations split as LHS_q = L q'' + Fq and
+    LHS_r = L r'' + Fr, all coefficients functions of q only, and
+    rhs(lam, s) is (q', r', -Fq / L, -Fr / L) at s = (q, r, q', r').  With
+    xp = math it takes floats, raising ZeroQ within EPS_SINGULAR of q = 0
+    and SingularMetric within it of L = 0.  With xp = core.ROW_MATH it
+    takes equal-shape rows with no guard: NaN only where q = 0 or L = 0,
+    each row the bits of its one-point call.  With `parts`, on rows, it
+    returns (L, Fq, Fr) with no NaN put in: qr_residual reads them with
+    xp = numpy.  stop(lam, s) is the run's guard on floats:
+    SINGULARITY_REACHED once |Delta| < DELTA_STOP at Z = e^(2q)."""
+    sinh, cosh = xp.sinh, xp.cosh
+    rows = xp is not math
+    nan_rows = rows and not parts
+    d1, d2 = a + b - 1.0, a + b + 1.0  # Delta = (Z - 1)(d1 Z + d2)
+    apb, n2 = a + b, a * a + b * b
+    nn, a3 = n2 * n2, a**3 + b**3
+    na3 = -a3
+    cL = 2.0 * n2 * n2
     a4 = a**4 - a**3 * b + 4.0 * a * a * b * b - a * b**3 + b**4
-    Fq = (
-        -2.0 * a * b * (a - b) * (a + b) * qd * ch * rd
-        + a * b * (a + b) ** 2 * ch * rd * rd
-        + qd * qd * ((a + b) * n2 * n2 * sh - a4 * ch)
-    )
-    cth = ch / sh
-    csch = 1.0 / sh
-    a3 = a**3 + b**3
-    Fr = (
-        2.0 * (a + b) * qd * cth * rd * (n2 * n2 * ch - a3 * sh)
-        - 0.5 * (a - b) * qd * qd * csch * (-a3 * xp.sinh(2.0 * q) + n2 * n2 * xp.cosh(2.0 * q) + 3.0 * n2 * n2)
-        + a * b * (a - b) * (a + b) * ch * rd * rd
-    )
-    return L, Fq, Fr
+    kq1, kq2, kq3 = -2.0 * a * b * (a - b) * (a + b), a * b * (a + b) ** 2, (a + b) * n2 * n2
+    kr1, kr2, kr3, kr4 = 2.0 * (a + b), 0.5 * (a - b), 3.0 * n2 * n2, a * b * (a - b) * (a + b)
 
+    def rhs(_lam, s):
+        q, _, qd, rd = s
+        if nan_rows:
+            q = np.where(q == 0.0, math.nan, q)
+        sh = sinh(q)
+        if not rows and abs(sh) < EPS_SINGULAR:
+            raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
+        ch = cosh(q)
+        L = cL * (apb * ch - sh)
+        Fq = kq1 * qd * ch * rd + kq2 * ch * rd * rd + qd * qd * (kq3 * sh - a4 * ch)
+        cth = ch / sh
+        csch = 1.0 / sh
+        Fr = (
+            kr1 * qd * cth * rd * (nn * ch - a3 * sh)
+            - kr2 * qd * qd * csch * (na3 * sinh(2.0 * q) + nn * cosh(2.0 * q) + kr3)
+            + kr4 * ch * rd * rd
+        )
+        if parts:
+            return L, Fq, Fr
+        if rows:
+            L = np.where(L == 0.0, math.nan, L)
+        elif abs(L) < EPS_SINGULAR:
+            raise SingularMetric("(a+b) cosh q = sinh q: leading coefficient vanishes")
+        return [qd, rd, -Fq / L, -Fr / L]
 
-def _accel_qr(a: float, b: float, q, qd, rd):
-    """Geodesic acceleration (q'', r'') solved from the implicit forms.
-    Takes floats (raising within EPS_SINGULAR of q = 0 or L = 0) or
-    equal-shape arrays (no guard: NaN only where q = 0 or L = 0; each row
-    has the bits of its one-point call)."""
-    if isinstance(q, np.ndarray):
-        q = np.where(q == 0.0, math.nan, q)
-    elif abs(math.sinh(q)) < EPS_SINGULAR:
-        raise ZeroQ("q = 0 lies on the zero-cost hypersurface")
-    L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd, math_for(q))
-    if isinstance(L, np.ndarray):
-        L = np.where(L == 0.0, math.nan, L)
-    elif abs(L) < EPS_SINGULAR:
-        raise SingularMetric("(a+b) cosh q = sinh q: leading coefficient vanishes")
-    return -Fq / L, -Fr / L
+    def stop(_lam, s):
+        Z = math.exp(2.0 * s[0])
+        if abs((Z - 1.0) * (d1 * Z + d2)) < DELTA_STOP:
+            return TerminationReason.SINGULARITY_REACHED
+        return None
+
+    return rhs, stop
 
 
 def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
@@ -298,25 +353,11 @@ def lc_rhs_qr(state: GeodesicState, a: float, b: float) -> np.ndarray:
     implicit forms; all coefficients depend on the point through q only."""
     if state.chart is not Chart.QR:
         raise UnsupportedChartPair("lc_rhs_qr expects a (q, r)-chart state")
-    qd, rd = state.velocity
-    return np.array(_accel_qr(a, b, float(state.position[0]), qd, rd))
+    rhs, _ = _qr_kernel(a, b)
+    return np.array(rhs(state.lam, state.position.tolist() + state.velocity.tolist())[2:])
 
 
 # -- adaptive integration ----------------------------------------------------
-
-def _guard_xy(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
-    if pos[0] <= DELTA_DOMAIN or pos[1] <= DELTA_DOMAIN:
-        return TerminationReason.DOMAIN_BOUNDARY
-    if abs(delta(a, b, z_xy(a, b, pos[0], pos[1]))) < DELTA_STOP:
-        return TerminationReason.SINGULARITY_REACHED
-    return None
-
-
-def _guard_qr(a: float, b: float, pos: Sequence[float]) -> Optional[TerminationReason]:
-    if abs(delta(a, b, math.exp(2.0 * pos[0]))) < DELTA_STOP:
-        return TerminationReason.SINGULARITY_REACHED
-    return None
-
 
 def integrate_geodesic(
     state0: GeodesicState,
@@ -342,29 +383,25 @@ def integrate_geodesic(
     if not 0.0 < tol < math.inf:
         raise InvalidSpan("tolerances must be positive and finite")
     if state0.chart is Chart.RATIO:
-        guard = _guard_xy
-        accel = lambda y: _accel_xy(a, b, y[0], y[1], y[2], y[3])
+        kernel = _xy_kernel
     elif state0.chart is Chart.QR:
-        guard = _guard_qr
-        accel = lambda y: _accel_qr(a, b, y[0], y[2], y[3])
+        kernel = _qr_kernel
     else:
         raise UnsupportedChartPair("geodesic integration runs in the RATIO or QR chart")
-
-    def rhs(_lam: float, y: List[float]) -> List[float]:
-        return [y[2], y[3], *accel(y)]
-
+    rhs, stop = kernel(a, b)
     try:
-        reason0 = guard(a, b, state0.position)
+        reason0 = stop(lam0, state0.position)
     except OverflowError:  # Z = x^2a y^2b = e^2q is not representable
         raise InadmissibleInitialState("Z overflows at the initial state") from None
     if reason0 is not None:
         raise InadmissibleInitialState(f"initial state already at guard: {reason0.value}")
 
     y0 = np.concatenate([state0.position, state0.velocity])
-    sol = ode.integrate(rhs, y0, (lam0, lam1), tol, stop=lambda _lam, y: guard(a, b, y))
+    sol = ode.integrate(rhs, y0, (lam0, lam1), tol, stop=stop)
+    row_rhs, _ = kernel(a, b, ROW_MATH)
     return Trajectory.from_solution(
         sol, state0.chart, lam0, samples,
-        lambda ys: (ys[:, :2], ys[:, 2:], np.column_stack(accel(ys.T))),
+        lambda ys: (ys[:, :2], ys[:, 2:], np.column_stack(row_rhs(None, ys.T)[2:])),
     )
 
 
@@ -395,6 +432,6 @@ def qr_residual(traj: Trajectory, a: float, b: float) -> np.ndarray:
     else:
         raise UnsupportedChartPair("qr_residual expects a ratio- or (q, r)-chart trajectory")
     with np.errstate(divide="ignore", invalid="ignore"):
-        L, Fq, Fr = _qr_lhs_parts(a, b, q, qd, rd, np)
+        L, Fq, Fr = _qr_kernel(a, b, np, parts=True)[0](None, (q, None, qd, rd))
         out = np.abs(L * qdd + Fq) + np.abs(L * rdd + Fr)
     return np.where(q == 0.0, math.inf, out)

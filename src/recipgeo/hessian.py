@@ -19,10 +19,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Chart, ChartPoint, S_at, WeightVector, transform
+from .core import S_MAX, Chart, ChartPoint, S_at, WeightVector, alpha_dot, log_coords, transform
 from .errors import (
     DimensionMismatch,
     DomainViolation,
+    Overflow,
     UnsupportedChartPair,
     ZeroCostPoint,
     ZeroWeightVector,
@@ -73,9 +74,15 @@ def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
 
 def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[np.ndarray, float, float]:
     """u = alpha / x, R and 1/R at a ratio-chart point, from one S: what
-    both forms of the ratio-chart Hessian read."""
+    both forms of the ratio-chart Hessian read.  Both divide by x_i^2, so
+    past 2|log x_i| <= S_MAX, after the wall |S| <= S_MAX, raises Overflow."""
     x.require_chart(Chart.RATIO)
-    S = S_at(x, w)
+    t = log_coords(x, w)
+    S = alpha_dot(t, w.alpha)
+    logs = t.tolist()
+    reach = 2.0 * max(-min(logs), max(logs))
+    if not reach <= S_MAX:
+        raise Overflow(f"2|log x_i| = {reach:g} exceeds S_MAX = {S_MAX:g}, the overflow wall of x_i^2")
     return w.alpha / x.coords, math.exp(S), math.exp(-S)
 
 
@@ -87,10 +94,9 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
     """
     u, R, Rinv = _ratio_terms(x, w)
     alpha, c = w.alpha, x.coords
-    dense = 0.5 * (R + Rinv) * np.outer(u, u)
-    np.fill_diagonal(
-        dense, 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (c * c)
-    )
+    dense = 0.5 * (R + Rinv) * (u[:, None] * u)
+    # the diagonal, as np.fill_diagonal writes it, without its checks
+    dense.flat[:: c.size + 1] = 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (c * c)
     return SymMatrix(dense)
 
 
@@ -113,7 +119,7 @@ def det_hessian_ratio(x: ChartPoint, w: WeightVector) -> float:
     determinant, which covers the degenerate configurations.
     """
     d = decompose(x, w)
-    if abs(d.a_scale) < DET_ZERO_COST_S or np.any(w.alpha == 0.0):
+    if abs(d.a_scale) < DET_ZERO_COST_S or 0.0 in w.alpha.tolist():
         return float(np.linalg.det(hessian_ratio(x, w).array))
     a_diag = d.a_scale * d.diag
     det_a = float(np.prod(a_diag))

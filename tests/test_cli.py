@@ -373,6 +373,8 @@ class TestBadInput:
         # wall, and y / x^2 inside it
         "christoffel --alpha 1,1.001 --point 1e-200,1e200",
         "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
+        # S = 0 inside its wall, x_i^2 past the coordinate wall
+        "hessian --chart ratio --alpha 1,-1 --point 1e-200,1e-200",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():

@@ -28,10 +28,12 @@ from recipgeo import (
 )
 from recipgeo import flows, geodesics
 from recipgeo.connection import EPS_SINGULAR
+from recipgeo.core import ROW_MATH
 from recipgeo.errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
     InvalidSpan,
+    NonPositiveCoordinate,
     RecipGeoError,
     SingularMetric,
     ZeroExponent,
@@ -209,6 +211,15 @@ class TestLcRhs:
             assert np.max(np.abs(got - expected)) / scale <= 1e-8
 
 
+def _kernel_accel(kernel, a, b):
+    """The kernel's acceleration at one state (4,), on floats, or at rows
+    (N, 4), on arrays."""
+    def form(r):
+        rhs, _ = kernel(a, b, ROW_MATH if r.ndim == 2 else math)
+        return np.array(rhs(None, r.T)[2:]).T
+    return form
+
+
 def _row_cases(rng):
     """name -> (form, rows, singular): `form` maps one point (k,) to (m,)
     and rows (N, k) to (N, m); `singular` holds the indices of the rows where
@@ -221,7 +232,7 @@ def _row_cases(rng):
 
     q = rng.uniform(-1.5, 1.5, 200)
     q = np.append(q[(np.abs(np.sinh(q)) >= 0.1) & (np.abs(0.5 * np.cosh(q) - np.sinh(q)) >= 0.05)], 0.0)
-    qr_rows = np.column_stack([q, rng.uniform(-2.0, 2.0, (q.size, 2))])
+    qr_rows = np.column_stack([q, np.zeros(q.size), rng.uniform(-2.0, 2.0, (q.size, 2))])  # (q, r, q', r')
 
     alpha = np.array([0.6, -0.3, 0.9])
     n2 = float(alpha @ alpha)
@@ -231,8 +242,8 @@ def _row_cases(rng):
     tau_star = flows.blowup_time(0.9, w)
     tau_rows = np.append(rng.uniform(-2.0, tau_star, 200), [tau_star + 0.1, 3.0])[:, None]  # past tau*
     return {
-        "accel_xy": (lambda r: np.array(geodesics._accel_xy(a, b, *r.T)).T, xy_rows, [len(xy_rows) - 1]),
-        "accel_qr": (lambda r: np.array(geodesics._accel_qr(0.8, -0.3, *r.T)).T, qr_rows, [len(qr_rows) - 1]),
+        "accel_xy": (_kernel_accel(geodesics._xy_kernel, a, b), xy_rows, [len(xy_rows) - 1]),
+        "accel_qr": (_kernel_accel(geodesics._qr_kernel, 0.8, -0.3), qr_rows, [len(qr_rows) - 1]),
         "flow_velocity": (lambda r: flows._flow_velocity(r, alpha, -1.0), t_rows, []),
         "flow_accel": (lambda r: flows._flow_accel(r, alpha, n2), t_rows, []),
         "closed_form_S": (lambda r: np.array(flows.closed_form_S(0.9, r.T[0], w, flows.FlowSign.ASCENT))[..., None],
@@ -473,3 +484,171 @@ class TestQrResidual:
         st = GeodesicState(Chart.RATIO, [1.0, 2.0], [-1.0, 3.0], 0.0)
         traj = integrate_geodesic(st, -2.0, 1.0, (0.0, 2.0), tol=1e-10, samples=64)
         assert np.max(qr_residual(traj, -2.0, 1.0)) <= 1e-8
+
+
+# -- the run's kernels against the public functions -----------------------------
+
+def _accel_xy_reference(a, b, x, y, vx, vy):
+    """(x'', y'') written out term by term from the public z_xy and delta,
+    with the guard of the run's rhs: the closed form the ratio kernel
+    evaluates with its (a, b) constants hoisted."""
+    Z = z_xy(a, b, x, y)
+    Delta = delta(a, b, Z)
+    if abs(Delta) < EPS_SINGULAR:
+        raise SingularMetric("reference guard")
+    Z2 = Z * Z
+    ax = (
+        -((a + 1.0) * (a + 2.0 * b + 2.0) - 2.0 * Z * (a * a - 2.0 * a * b + 2.0)
+          + (a - 1.0) * Z2 * (a + 2.0 * b - 2.0)) / (2.0 * Delta * x) * vx * vx
+        - b * (2.0 * Z * (b - 2.0 * a) + (b - 1.0) * Z2 + b + 1.0) / (Delta * y) * vx * vy
+        + b * x * ((b - 1.0) * Z2 + 6.0 * b * Z + b + 1.0) / (2.0 * Delta * y * y) * vy * vy
+    )
+    ay = (
+        -((b + 1.0) * (2.0 * a + b + 2.0) - 2.0 * Z * (-2.0 * a * b + b * b + 2.0)
+          + (b - 1.0) * Z2 * (2.0 * a + b - 2.0)) / (2.0 * Delta * y) * vy * vy
+        - a * (2.0 * Z * (a - 2.0 * b) + (a - 1.0) * Z2 + a + 1.0) / (Delta * x) * vx * vy
+        + a * y * ((a - 1.0) * Z2 + 6.0 * a * Z + a + 1.0) / (2.0 * Delta * x * x) * vx * vx
+    )
+    return [ax, ay]
+
+
+def _accel_qr_reference(a, b, q, qd, rd):
+    """(q'', r'') = (-Fq / L, -Fr / L) written out term by term, with the
+    guards of the run's rhs."""
+    if abs(math.sinh(q)) < EPS_SINGULAR:
+        raise ZeroQ("reference guard")
+    n2 = a * a + b * b
+    ch, sh = math.cosh(q), math.sinh(q)
+    L = 2.0 * n2 * n2 * ((a + b) * ch - sh)
+    a4 = a**4 - a**3 * b + 4.0 * a * a * b * b - a * b**3 + b**4
+    Fq = (
+        -2.0 * a * b * (a - b) * (a + b) * qd * ch * rd
+        + a * b * (a + b) ** 2 * ch * rd * rd
+        + qd * qd * ((a + b) * n2 * n2 * sh - a4 * ch)
+    )
+    cth, csch, a3 = ch / sh, 1.0 / sh, a**3 + b**3
+    Fr = (
+        2.0 * (a + b) * qd * cth * rd * (n2 * n2 * ch - a3 * sh)
+        - 0.5 * (a - b) * qd * qd * csch * (-a3 * math.sinh(2.0 * q) + n2 * n2 * math.cosh(2.0 * q) + 3.0 * n2 * n2)
+        + a * b * (a - b) * (a + b) * ch * rd * rd
+    )
+    if abs(L) < EPS_SINGULAR:
+        raise SingularMetric("reference guard")
+    return [-Fq / L, -Fr / L]
+
+
+def _draw_weights(rng, kind):
+    """One (a, b) of a weight class: a + b < 1, a + b > 1 or a = -b."""
+    if kind == "sum_below_1":
+        a = rng.uniform(0.1, 0.8)
+        return a, rng.uniform(0.05, 0.95 - a)
+    if kind == "sum_above_1":
+        return tuple(rng.uniform(0.55, 1.5, 2))
+    a = rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0])
+    return a, -a
+
+
+class _Captured(Exception):
+    pass
+
+
+def _run_callables(monkeypatch, state, a, b):
+    """The rhs and stop that integrate_geodesic hands ode.integrate for a
+    run from `state`, caught before any step is taken."""
+    got = {}
+
+    def capture(rhs, y0, span, tol=1e-10, stop=None):
+        got.update(rhs=rhs, stop=stop)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(geodesics.ode, "integrate", capture)
+        with pytest.raises(_Captured):
+            integrate_geodesic(state, a, b, (0.0, 1.0))
+    return got["rhs"], got["stop"]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _z_at_delta(a, b, level, side):
+    """Z = 1 + side e, e > 0, where |Delta| = level, by bisection from
+    Z = 1 (|Delta| grows with e on [0, 0.1] in every weight class drawn)."""
+    lo, hi = 0.0, 0.1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(delta(a, b, 1.0 + side * mid)) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 + side * lo
+
+
+WEIGHT_CLASSES = ["sum_below_1", "sum_above_1", "opposite"]
+# an admissible start for every (a, b) drawn, for the tests that need no
+# particular start
+START_XY = GeodesicState(Chart.RATIO, [4.0, 2.0], [0.1, 0.2], 0.0)
+
+
+class TestRunKernels:
+    """The rhs and stop of a run, built once per (a, b), against lc_rhs_xy,
+    lc_rhs_qr and the public z_xy and delta they inline: 200 seeded points
+    for each weight class, equal bit for bit."""
+
+    @pytest.mark.parametrize("kind", WEIGHT_CLASSES)
+    def test_rhs_matches_public_functions(self, kind, rng, monkeypatch):
+        for _ in range(200):
+            a, b = _draw_weights(rng, kind)
+            while True:
+                x, y = np.exp(rng.uniform(-1.5, 1.5, 2))
+                if abs(delta(a, b, z_xy(a, b, x, y))) >= 1e-3:
+                    break
+            vx, vy = rng.uniform(-2.0, 2.0, 2)
+            st = GeodesicState(Chart.RATIO, [x, y], [vx, vy], 0.0)
+            rhs, _ = _run_callables(monkeypatch, st, a, b)
+            got = rhs(0.0, [x, y, vx, vy])
+            assert _bits(got[:2]) == _bits([vx, vy])
+            assert _bits(got[2:]) == _bits(lc_rhs_xy(st, a, b)) == _bits(_accel_xy_reference(a, b, x, y, vx, vy))
+
+            s, t = math.log(x), math.log(y)
+            q, r = a * s + b * t, -b * s + a * t
+            qd, rd = a * vx / x + b * vy / y, -b * vx / x + a * vy / y
+            sq = GeodesicState(Chart.QR, [q, r], [qd, rd], 0.0)
+            rhs, _ = _run_callables(monkeypatch, sq, a, b)
+            got = rhs(0.0, [q, r, qd, rd])
+            assert _bits(got[:2]) == _bits([qd, rd])
+            assert _bits(got[2:]) == _bits(lc_rhs_qr(sq, a, b)) == _bits(_accel_qr_reference(a, b, q, qd, rd))
+
+    @pytest.mark.parametrize("kind", WEIGHT_CLASSES)
+    def test_stop_either_side_of_delta_stop(self, kind, rng, monkeypatch):
+        DS = geodesics.DELTA_STOP
+        seen = {TerminationReason.SINGULARITY_REACHED: 0, None: 0}
+        for i in range(200):
+            a, b = _draw_weights(rng, kind)
+            stop_xy = _run_callables(monkeypatch, START_XY, a, b)[1]
+            stop_qr = _run_callables(monkeypatch, GeodesicState(Chart.QR, [1.3, 0.2], [0.1, 0.2], 0.0), a, b)[1]
+            side = 1.0 if i % 2 else -1.0
+            e = _z_at_delta(a, b, DS, side) - 1.0
+            for Z, expect in ((1.0 + 0.999 * e, TerminationReason.SINGULARITY_REACHED), (1.0 + 1.001 * e, None)):
+                y = math.exp(rng.uniform(-1.0, 1.0))
+                x = math.exp((0.5 * math.log(Z) - b * math.log(y)) / a)
+                assert bool(abs(delta(a, b, z_xy(a, b, x, y))) < DS) is (expect is not None)
+                assert stop_xy(0.0, [x, y, 0.1, 0.2]) is expect
+                q = 0.5 * math.log(Z)
+                assert bool(abs(delta(a, b, math.exp(2.0 * q))) < DS) is (expect is not None)
+                assert stop_qr(0.0, [q, 0.3, 0.1, 0.2]) is expect
+                seen[expect] += 1
+            for x, y in ((geodesics.DELTA_DOMAIN, 1.0), (1.0, geodesics.DELTA_DOMAIN), (0.0, 2.0), (2.0, -1.0)):
+                assert stop_xy(0.0, [x, y, 0.1, 0.2]) is TerminationReason.DOMAIN_BOUNDARY
+        assert seen[TerminationReason.SINGULARITY_REACHED] == seen[None] == 200
+
+    @pytest.mark.parametrize("kind", WEIGHT_CLASSES)
+    def test_nonpositive_coordinate(self, kind, rng, monkeypatch):
+        a, b = _draw_weights(rng, kind)
+        rhs = _run_callables(monkeypatch, START_XY, a, b)[0]
+        for x, y in ((0.0, 2.0), (-0.0, 2.0), (-1.0, 2.0), (2.0, 0.0), (2.0, -3.0), (-math.inf, 1.0)):
+            with pytest.raises(NonPositiveCoordinate):
+                rhs(0.0, [x, y, 0.1, 0.2])
+            with pytest.raises(NonPositiveCoordinate):
+                lc_rhs_xy(GeodesicState(Chart.RATIO, [x, y], [0.1, 0.2], 0.0), a, b)

@@ -21,7 +21,7 @@ from recipgeo import (
     singular_S,
     singular_locus_value,
 )
-from recipgeo.errors import DomainViolation, ZeroCostPoint
+from recipgeo.errors import DomainViolation, Overflow, ZeroCostPoint
 
 from conftest import assert_close, assert_matrix_close
 
@@ -111,6 +111,20 @@ class TestHessianRatio:
                 exact = hessian_ratio(x, w)
                 oracle = fd_hessian(lambda p: cost_ratio(p, w).J, x)
                 assert_matrix_close(oracle.to_dense(), exact.to_dense(), 1e-6)
+
+    @pytest.mark.parametrize("coords", [[1e-200, 1e-200], [1e200, 1e200], [math.exp(-350.5), 1.0]])
+    def test_coordinate_wall(self, coords):
+        # S = 0 or S = -350.5 inside its wall, 2|log x_i| > S_MAX: x_i^2 leaves the double range
+        w = WeightVector(np.array([1.0, -1.0]))
+        x = ChartPoint(Chart.RATIO, np.array(coords))
+        for form in (hessian_ratio, decompose, det_hessian_ratio):
+            with pytest.raises(Overflow):
+                form(x, w)
+
+    def test_finite_inside_the_coordinate_wall(self):
+        w = WeightVector(np.array([1.0, -1.0]))
+        x = ChartPoint(Chart.RATIO, np.array([math.exp(-349.5), math.exp(-349.5)]))
+        assert np.all(np.isfinite(hessian_ratio(x, w).array))
 
 
 class TestDecomposition:

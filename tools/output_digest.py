@@ -65,6 +65,11 @@ COMMANDS = [
     "geodesic --alpha=0.8,-0.8 --chart qr"
     " --state=0.5545177444479562,0.5545177444479562,-0.28284271247461906,0.8485281374238571 --span 0,4"
     " --residual-output residual.csv",
+    # a + b > 1, where L = 2 |alpha|^4 ((a+b) cosh q - sinh q) never vanishes, in both charts
+    "geodesic --alpha 0.9,0.7 --chart ratio --state 2,1.5,-0.5,0.8 --span 0,3 --residual-output residual.csv",
+    "geodesic --alpha 0.9,0.7 --chart qr"
+    " --state=0.9076580381796657,-0.12028442909461373,0.1483333333333333,0.655 --span 0,3"
+    " --format json --output traj.json --residual-output residual.csv",
     "geodesic --alpha 0.5,0.5 --type affine --structure log --state 1,2,0.5,-0.5 --span 0,3",
     "geodesic --alpha 1,1 --type affine --structure ratio --state 1,1,-1,0 --span 0,5 --format json",
     # loci
@@ -100,6 +105,8 @@ COMMANDS = [
     # y / x^2 past the double range inside it
     "christoffel --alpha 1,1.001 --point 1e-200,1e200",
     "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
+    # S = 0 inside its wall, the ratio-chart Hessian's x_i^2 past the coordinate wall
+    "hessian --chart ratio --alpha 1,-1 --point 1e-200,1e-200",
     # the quadrature's m next to its closed-form slope m'
     "fisher --alpha 1 --point 30",
 ]
