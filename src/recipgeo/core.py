@@ -7,6 +7,17 @@ The cost of a positive point x under exponent weights alpha is
 evaluated through S = log R = sum_i alpha_i log x_i so that extreme ratio
 products never have to be formed directly.  In logarithmic coordinates
 t = log x the same cost reads J(t) = cosh(alpha . t) - 1.
+
+Inputs are validated once, where a WeightVector or ChartPoint is built, on
+the floats of one tolist() and with typed errors.  Both are frozen: each
+keeps a read-only copy of its array and stores what that array determines
+(the sum of the weights, |alpha|^2, the aliases a and b and whether the
+weights are canonical; the log coordinates of a ratio or log point), so the
+closed forms read them without checking or computing them again.  At one
+point the arithmetic runs on Python floats, which round each operation as
+numpy does.  Each reduction that forms a value stays numpy (np.dot in
+alpha_dot, np.sum and np.dot in the stored sums): a Python loop adds in
+another order and changes the last bits.
 """
 
 from __future__ import annotations
@@ -68,28 +79,43 @@ class Chart(enum.Enum):
     QR = "qr"
 
 
-# for log_coords, which every S passes: Chart.X costs about 0.2 us on Python 3.11
-_RATIO, _LOG = Chart.RATIO, Chart.LOG
+# for ChartPoint, which every point passes: Chart.X costs about 0.2 us on Python 3.11
+_RATIO, _QR = Chart.RATIO, Chart.QR
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Exponent vector alpha of the ratio product R(x) = prod x_i**alpha_i."""
+    """Exponent vector alpha of the ratio product R(x) = prod x_i**alpha_i.
+
+    The constructor checks alpha on the floats of one tolist() and keeps a
+    read-only copy of it as `alpha`, so the caller's array stays writeable
+    and no later write to it reaches the weights.  It stores what alpha
+    determines: n; `total`, the sum of the weights, which controls the
+    singular locus tanh(S) = total; `norm_sq` = |alpha|^2; the 2D aliases
+    `a` and `b`; and whether the weights are the canonical 1/n.  The two
+    sums stay numpy reductions (np.sum, np.dot): a Python loop adds in
+    another order and changes their last bits."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        arr = np.array(self.alpha, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionMismatch("alpha must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
+        vals = arr.tolist()
+        if not all(map(math.isfinite, vals)):
             raise ZeroWeightVector("alpha must be finite")
-        if not np.any(arr != 0.0):
+        if not any(vals):
             raise ZeroWeightVector("alpha must have at least one nonzero component")
-        norm = math.hypot(*arr.tolist())
+        norm = math.hypot(*vals)
         if not math.isfinite(norm * norm):  # a Python float overflows to inf, unwarned
             raise Overflow("|alpha|^2 overflows the double range")
-        object.__setattr__(self, "alpha", arr)
+        arr.flags.writeable = False
+        n = len(vals)
+        # a frozen dataclass refuses setattr; the stored values go to its __dict__
+        self.__dict__.update(alpha=arr, n=n, total=float(np.sum(arr)), norm_sq=float(np.dot(arr, arr)),
+                             a=vals[0], _b=vals[1] if n > 1 else None,
+                             _canonical=all(abs(v - 1.0 / n) < 1e-15 for v in vals))
 
     @classmethod
     def canonical(cls, n: int) -> "WeightVector":
@@ -100,54 +126,47 @@ class WeightVector:
         return cls(np.full(n, 1.0 / n))
 
     @property
-    def n(self) -> int:
-        return self.alpha.size
-
-    @property
-    def total(self) -> float:
-        """Sum of the weights; controls the singular locus tanh(S) = total."""
-        return float(np.sum(self.alpha))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.dot(self.alpha, self.alpha))
-
-    @property
-    def a(self) -> float:
-        """First weight (2D alias)."""
-        return float(self.alpha[0])
-
-    @property
     def b(self) -> float:
         """Second weight (2D alias)."""
-        if self.n < 2:
+        if self._b is None:
             raise DimensionMismatch("b alias requires n >= 2")
-        return float(self.alpha[1])
+        return self._b
 
     def is_canonical(self) -> bool:
-        return bool(np.all(np.abs(self.alpha - 1.0 / self.n) < 1e-15))
+        """Whether every weight lies within 1e-15 of 1/n."""
+        return self._canonical
 
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point tagged with the chart its coordinates live in."""
+    """A point tagged with the chart its coordinates live in.
+
+    The constructor checks the coordinates on the floats of one tolist() and
+    keeps a read-only copy of them as `coords`.  It stores n and, in the
+    ratio and log charts, the log coordinates that `log_coords` returns
+    (np.log of ratio coordinates, taken once); those of a QR point depend
+    on the weights and are rotated back at each read."""
 
     chart: Chart
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        arr = np.array(self.coords, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionMismatch("coords must be a nonempty vector")
-        if self.chart is Chart.RATIO and not np.all(arr > 0.0):
-            raise NonPositiveCoordinate(f"ratio coordinates must be positive, got {arr}")
-        if self.chart is Chart.QR and arr.size != 2:
-            raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
+        arr.flags.writeable = False
+        logs = arr
+        if self.chart is _RATIO:
+            if not all(v > 0.0 for v in arr.tolist()):
+                raise NonPositiveCoordinate(f"ratio coordinates must be positive, got {arr}")
+            logs = np.log(arr)
+            logs.flags.writeable = False
+        elif self.chart is _QR:
+            if arr.size != 2:
+                raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
+            logs = None
+        # a frozen dataclass refuses setattr; the stored values go to its __dict__
+        self.__dict__.update(coords=arr, n=arr.size, _logs=logs)
 
     def require_chart(self, chart: Chart) -> None:
         if self.chart is not chart:
@@ -166,7 +185,7 @@ class ScalarSummary:
 
 
 def _check_dims(p: ChartPoint, w: WeightVector) -> None:
-    if p.coords.size != w.alpha.size:  # not p.n, w.n: this runs with every S
+    if p.n != w.n:
         raise DimensionMismatch(f"point has n={p.n}, weights have n={w.n}")
 
 
@@ -194,12 +213,11 @@ def alpha_dot(y: np.ndarray, alpha: np.ndarray):
 
 
 def log_coords(p: ChartPoint, w: WeightVector) -> np.ndarray:
-    """The log coordinates t of a point in any chart."""
+    """The log coordinates t of a point in any chart, read-only: those the
+    point stored, or a QR point's rotated back."""
     _check_dims(p, w)
-    if p.chart is _RATIO:
-        return np.log(p.coords)
-    if p.chart is _LOG:
-        return p.coords
+    if p._logs is not None:
+        return p._logs
     return qr_to_log(p.coords, w.a, w.b)
 
 
@@ -283,6 +301,9 @@ def log_to_qr(st: np.ndarray, a: float, b: float) -> np.ndarray:
     """The rotation q = a s + b t, r = -b s + a t of log coordinates, applied
     to the last axis of `st` (one point, or one point per row).  Being
     linear, it also maps log-chart velocities and accelerations."""
+    if st.ndim == 1:  # one point, on floats
+        s, t = st.tolist()
+        return np.array([a * s + b * t, -b * s + a * t])
     s, t = st[..., 0], st[..., 1]
     return np.stack([a * s + b * t, -b * s + a * t], axis=-1)
 

@@ -9,6 +9,14 @@ Each Hessian is a SymMatrix holding the dense (n, n) matrix as `.array`;
 every function here builds that array symmetric bit for bit, so the wrapper
 only checks its shape.  The radical basis is a plain (n-1, n) array, and
 determinants and locus values are floats.
+
+The ratio-chart Hessian, its split and its determinant lemma are assembled
+on Python floats, in the operation order of the array formulas, so they
+keep those formulas' bits; the log-chart Hessian broadcasts alpha against
+itself.  The lemma's sum u^T A^{-1} u stays a numpy reduction.  The ratio
+chart is walled at |S| <= S_MAX and 2|log x_i| <= S_MAX; inside both walls
+an entry, the split or the determinant can still leave the double range,
+and then Overflow is raised in place of an infinite value.
 """
 
 from __future__ import annotations
@@ -69,13 +77,23 @@ class HessianDecomposition:
 def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
     """Log-chart Hessian cosh(S) * alpha alpha^T (rank one for any t)."""
     t.require_chart(Chart.LOG)
-    return SymMatrix(math.cosh(S_at(t, w)) * np.outer(w.alpha, w.alpha))
+    alpha = w.alpha
+    return SymMatrix(math.cosh(S_at(t, w)) * (alpha[:, None] * alpha))
 
 
-def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[np.ndarray, float, float]:
-    """u = alpha / x, R and 1/R at a ratio-chart point, from one S: what
-    both forms of the ratio-chart Hessian read.  Both divide by x_i^2, so
-    past 2|log x_i| <= S_MAX, after the wall |S| <= S_MAX, raises Overflow."""
+def _finite(values: list, what: str) -> None:
+    """Raises Overflow unless every value is finite: inside both walls,
+    alpha_i / x_i^2, u_i u_j and their products can still leave the double
+    range."""
+    if not all(map(math.isfinite, values)):
+        raise Overflow(f"the ratio-chart {what} leaves the double range")
+
+
+def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, float, float]:
+    """alpha, x and u = alpha / x as floats, R and 1/R at a ratio-chart
+    point, from one S: what every form of the ratio-chart Hessian reads.
+    Each divides by x_i^2, so past 2|log x_i| <= S_MAX, after the wall
+    |S| <= S_MAX, raises Overflow."""
     x.require_chart(Chart.RATIO)
     t = log_coords(x, w)
     S = alpha_dot(t, w.alpha)
@@ -83,7 +101,8 @@ def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[np.ndarray, float, flo
     reach = 2.0 * max(-min(logs), max(logs))
     if not reach <= S_MAX:
         raise Overflow(f"2|log x_i| = {reach:g} exceeds S_MAX = {S_MAX:g}, the overflow wall of x_i^2")
-    return w.alpha / x.coords, math.exp(S), math.exp(-S)
+    alpha, c = w.alpha.tolist(), x.coords.tolist()
+    return alpha, c, [ai / ci for ai, ci in zip(alpha, c)], math.exp(S), math.exp(-S)
 
 
 def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
@@ -92,23 +111,27 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
     Off-diagonal: (alpha_i alpha_j / (2 x_i x_j)) (R + 1/R).
     Diagonal:     (alpha_i(alpha_i-1) R + alpha_i(alpha_i+1)/R) / (2 x_i^2).
     """
-    u, R, Rinv = _ratio_terms(x, w)
-    alpha, c = w.alpha, x.coords
-    dense = 0.5 * (R + Rinv) * (u[:, None] * u)
-    # the diagonal, as np.fill_diagonal writes it, without its checks
-    dense.flat[:: c.size + 1] = 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (c * c)
-    return SymMatrix(dense)
+    alpha, c, u, R, Rinv = _ratio_terms(x, w)
+    beta, n = 0.5 * (R + Rinv), len(u)
+    flat = [beta * (ui * uj) for ui in u for uj in u]
+    for i, (ai, ci) in enumerate(zip(alpha, c)):
+        flat[i * (n + 1)] = 0.5 * (ai * (ai - 1.0) * R + ai * (ai + 1.0) * Rinv) / (ci * ci)
+    _finite(flat, "Hessian")
+    return SymMatrix(np.array(flat).reshape(n, n))
+
+
+def _split(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, float, float]:
+    """alpha, and the split of `decompose` as floats: u, diag, beta, a_scale."""
+    alpha, c, u, R, Rinv = _ratio_terms(x, w)
+    diag = [ai / (ci * ci) for ai, ci in zip(alpha, c)]
+    _finite(u + diag, "split")
+    return alpha, u, diag, 0.5 * (R + Rinv), -0.5 * (R - Rinv)
 
 
 def decompose(x: ChartPoint, w: WeightVector) -> HessianDecomposition:
     """Rank-one-plus-diagonal split of the ratio-chart Hessian."""
-    u, R, Rinv = _ratio_terms(x, w)
-    return HessianDecomposition(
-        diag=w.alpha / (x.coords * x.coords),
-        u=u,
-        beta=0.5 * (R + Rinv),
-        a_scale=-0.5 * (R - Rinv),
-    )
+    _, u, diag, beta, a_scale = _split(x, w)
+    return HessianDecomposition(diag=np.array(diag), u=np.array(u), beta=beta, a_scale=a_scale)
 
 
 def det_hessian_ratio(x: ChartPoint, w: WeightVector) -> float:
@@ -116,15 +139,22 @@ def det_hessian_ratio(x: ChartPoint, w: WeightVector) -> float:
 
     Uses det(A) (1 + beta u^T A^{-1} u) when the diagonal part is invertible
     (R != 1 and every alpha_i != 0); otherwise falls back to the direct
-    determinant, which covers the degenerate configurations.
+    determinant, which covers the degenerate configurations.  The sum
+    u^T A^{-1} u stays the reduction of np.sum (np.add.reduce, without
+    np.sum's wrapper), whose order of additions a Python loop does not keep;
+    the product det(A) is math.prod, which multiplies in np.prod's order.
     """
-    d = decompose(x, w)
-    if abs(d.a_scale) < DET_ZERO_COST_S or 0.0 in w.alpha.tolist():
-        return float(np.linalg.det(hessian_ratio(x, w).array))
-    a_diag = d.a_scale * d.diag
-    det_a = float(np.prod(a_diag))
-    quad = float(np.sum(d.u * d.u / a_diag))
-    return det_a * (1.0 + d.beta * quad)
+    alpha, u, diag, beta, a_scale = _split(x, w)
+    if abs(a_scale) < DET_ZERO_COST_S or 0.0 in alpha:
+        det = float(np.linalg.det(hessian_ratio(x, w).array))
+    else:
+        a_diag = [a_scale * di for di in diag]
+        if 0.0 in a_diag:  # underflowed: det(A) leaves the double range, and 1 / A_ii with it
+            raise Overflow("the ratio-chart determinant leaves the double range")
+        quad = float(np.add.reduce([ui * ui / ad for ui, ad in zip(u, a_diag)]))
+        det = math.prod(a_diag) * (1.0 + beta * quad)
+    _finite([det], "determinant")
+    return det
 
 
 def singular_locus_value(p: ChartPoint, w: WeightVector) -> float:

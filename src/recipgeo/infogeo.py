@@ -137,4 +137,5 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
     which coincides entrywise with the log-chart Hessian metric."""
     t.require_chart(Chart.LOG)
     mp = mean_slope(S_at(t, w))
-    return SymMatrix((mp * mp) * np.outer(w.alpha, w.alpha))
+    alpha = w.alpha
+    return SymMatrix((mp * mp) * (alpha[:, None] * alpha))

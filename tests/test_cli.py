@@ -375,6 +375,9 @@ class TestBadInput:
         "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
         # S = 0 inside its wall, x_i^2 past the coordinate wall
         "hessian --chart ratio --alpha 1,-1 --point 1e-200,1e-200",
+        # inside both walls (S = 661.1, 2|log x_i| = 695.9), R / x_2^2 past
+        # the double range
+        "hessian --chart ratio --alpha 2,0.1 --point 1.3e151,7.6e-152",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():

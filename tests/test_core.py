@@ -23,7 +23,7 @@ from recipgeo import (
     transform,
 )
 from recipgeo import connection, flows, hessian, infogeo
-from recipgeo.core import S_MAX, S_at, alpha_dot, cost, cost_from_S, cost_ratio_rows
+from recipgeo.core import S_MAX, S_at, alpha_dot, cost, cost_from_S, cost_ratio_rows, log_coords
 from recipgeo.errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
@@ -33,7 +33,7 @@ from recipgeo.errors import (
     ZeroWeightVector,
 )
 
-from conftest import assert_close
+from conftest import POINT_KINDS, assert_close, bits, draw_point
 
 
 def cosh_minus_one_by_series(x: float) -> float:
@@ -74,6 +74,66 @@ class TestWeightVector:
         assert_close(w.total, -0.4)
         assert_close(w.norm_sq, 0.09 + 0.49)
 
+    @pytest.mark.parametrize("alpha, error", [
+        ([math.nan, 1.0], ZeroWeightVector),
+        ([1.0, math.inf], ZeroWeightVector),
+        ([-math.inf, 1.0, 2.0], ZeroWeightVector),
+        ([0.0, 0.0], ZeroWeightVector),
+        ([-0.0, 0.0, -0.0], ZeroWeightVector),
+        ([-0.0], ZeroWeightVector),
+        (0.0, ZeroWeightVector),
+        (math.nan, ZeroWeightVector),
+        ([[0.5, 0.5]], DimensionMismatch),
+        ([[math.nan], [1.0]], DimensionMismatch),
+        ([], DimensionMismatch),
+        ([1e200, 1e200], Overflow),
+        ([1e155, 0.0, 0.0], Overflow),
+    ], ids=["nan", "inf", "-inf", "zeros", "signed-zeros", "-0.0", "0-d-zero", "0-d-nan",
+            "2-d", "2-d-nan", "empty", "norm-overflow", "one-entry-overflow"])
+    def test_rejects(self, alpha, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                WeightVector(np.asarray(alpha, dtype=float))
+
+    def test_zero_dimensional_is_one_weight(self):
+        w = WeightVector(np.float64(-0.5))
+        assert w.alpha.shape == (1,) and w.n == 1
+        assert w.a == w.total == -0.5 and w.norm_sq == 0.25
+
+    def test_b_needs_two_weights(self):
+        with pytest.raises(DimensionMismatch):
+            WeightVector(np.array([0.5])).b
+
+    def test_canonical_within_1e_15(self):
+        third = np.full(3, 1.0 / 3.0)
+        assert WeightVector(third + np.array([0.0, 5e-16, -5e-16])).is_canonical()
+        assert not WeightVector(third + np.array([0.0, 0.0, 2e-15])).is_canonical()
+        assert not WeightVector(np.array([0.5, -0.5])).is_canonical()
+        assert WeightVector(np.array([1.0])).is_canonical()
+
+    def test_caller_array_stays_writeable_and_apart(self):
+        raw = np.array([0.3, -0.7, 1.1])
+        w = WeightVector(raw)
+        stored = (bits(w.alpha), w.n, w.total, w.norm_sq, w.a, w.b, w.is_canonical())
+        assert raw.flags.writeable and not w.alpha.flags.writeable
+        raw[:] = 1.0 / 3.0  # the canonical weights, were they shared
+        assert (bits(w.alpha), w.n, w.total, w.norm_sq, w.a, w.b, w.is_canonical()) == stored
+        with pytest.raises(ValueError):
+            w.alpha[0] = 1.0
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_stored_values_match_numpy(self, kind, rng):
+        # the array reductions and comparison the stored values stand for
+        for i in range(200):
+            alpha, _ = draw_point(rng, kind, i)
+            w = WeightVector(alpha)
+            assert bits([w.total, w.norm_sq]) == bits([np.sum(alpha), np.dot(alpha, alpha)])
+            assert w.is_canonical() is bool(np.all(np.abs(alpha - 1.0 / alpha.size) < 1e-15))
+            assert w.n == alpha.size and bits([w.a]) == bits(alpha[:1])
+            if alpha.size == 2:
+                assert bits([w.b]) == bits(alpha[1:])
+
 
 class TestChartPoint:
     def test_ratio_positivity(self):
@@ -83,6 +143,46 @@ class TestChartPoint:
     def test_qr_needs_two(self):
         with pytest.raises(UnsupportedChartPair):
             ChartPoint(Chart.QR, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("coords", [[1.0, math.nan], [0.0, 1.0], [1.0, -0.0], [-2.0, 1.0],
+                                        [2.0, -math.inf], [math.nan], [-0.0]],
+                             ids=["nan", "zero", "-0.0", "negative", "-inf", "1-d-nan", "1-d-0.0"])
+    def test_ratio_rejects(self, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveCoordinate):
+                ChartPoint(Chart.RATIO, np.array(coords))
+
+    @pytest.mark.parametrize("coords", [[1.0], [1.0, 2.0, 3.0], 1.0])
+    def test_qr_rejects_n_other_than_2(self, coords):
+        with pytest.raises(UnsupportedChartPair):
+            ChartPoint(Chart.QR, np.array(coords))
+
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_rejects_empty_and_2d(self, chart):
+        for coords in ([], [[1.0, 2.0]]):
+            with pytest.raises(DimensionMismatch):
+                ChartPoint(chart, np.array(coords))
+
+    @pytest.mark.parametrize("chart", [Chart.RATIO, Chart.LOG])
+    def test_caller_array_stays_writeable_and_apart(self, chart):
+        raw = np.array([1.5, 0.4])
+        w = WeightVector(np.array([0.3, 0.9]))
+        p = ChartPoint(chart, raw)
+
+        def stored():
+            values = [bits(p.coords), bits(log_coords(p, w)), cost(p, w).J]
+            if chart is Chart.RATIO:
+                values += [bits(hessian.hessian_ratio(p, w).array), hessian.det_hessian_ratio(p, w)]
+            return values
+
+        before = stored()
+        assert raw.flags.writeable and not p.coords.flags.writeable
+        raw[:] = 2.0
+        assert stored() == before
+        for arr in (p.coords, log_coords(p, w)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestCost:
@@ -171,6 +271,35 @@ class TestCost:
             x = ChartPoint(Chart.RATIO, np.exp(row))
             t = transform(x, Chart.LOG, w)
             assert_close(cost_log(t, w).J, cost_ratio(x, w).J, 1e-12)
+
+
+class TestOnePointBits:
+    """cost_ratio and the rotation to (q, r) at one point, on the stored log
+    coordinates and floats, against the array formulas they replaced: 200
+    seeded points of each kind, equal bit for bit."""
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_cost_and_rotation(self, kind, rng):
+        for i in range(200):
+            alpha, t = draw_point(rng, kind, i)
+            x = np.exp(t)
+            w, p = WeightVector(alpha), ChartPoint(Chart.RATIO, x)
+            logs = np.log(x)
+            assert bits(log_coords(p, w)) == bits(transform(p, Chart.LOG, w).coords) == bits(logs)
+            S = float(np.dot(alpha, logs))
+            h = math.sinh(0.5 * S)
+            c = cost_ratio(p, w)
+            assert bits([c.S, c.R, c.J]) == bits([S, math.exp(S), 2.0 * (h * h)])
+            if np.all(np.abs(alpha - 1.0 / alpha.size) < 1e-15):
+                assert bits([c.G]) == bits([math.exp(float(np.mean(logs)))])
+            else:
+                assert c.G is None
+            if alpha.size == 2:
+                a, b = alpha[0], alpha[1]
+                qr_log = transform(ChartPoint(Chart.LOG, t), Chart.QR, w).coords
+                assert bits(qr_log) == bits(np.stack([a * t[0] + b * t[1], -b * t[0] + a * t[1]]))
+                qr_ratio = transform(p, Chart.QR, w).coords
+                assert bits(qr_ratio) == bits(np.stack([a * logs[0] + b * logs[1], -b * logs[0] + a * logs[1]]))
 
 
 class TestCostRows:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from recipgeo import (
     singular_S,
     singular_locus_value,
 )
+from recipgeo import fisher_info
 from recipgeo.errors import DomainViolation, Overflow, ZeroCostPoint
+from recipgeo.hessian import DET_ZERO_COST_S
 
-from conftest import assert_close, assert_matrix_close
+from conftest import POINT_KINDS, assert_close, assert_matrix_close, bits, draw_point
 
 
 class TestSymMatrix:
@@ -121,6 +124,19 @@ class TestHessianRatio:
             with pytest.raises(Overflow):
                 form(x, w)
 
+    def test_past_the_double_range_inside_both_walls(self):
+        # S = 661.1 and 2|log x_i| = 695.9: R / x_2^2 and a_scale alpha_2 / x_2^2
+        # leave the double range, while the split itself stays finite
+        w = WeightVector(np.array([2.0, 0.1]))
+        x = ChartPoint(Chart.RATIO, np.array([1.3e151, 7.6e-152]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (hessian_ratio, det_hessian_ratio):
+                with pytest.raises(Overflow):
+                    form(x, w)
+            d = decompose(x, w)
+        assert np.all(np.isfinite(d.u)) and np.all(np.isfinite(d.diag))
+
     def test_finite_inside_the_coordinate_wall(self):
         w = WeightVector(np.array([1.0, -1.0]))
         x = ChartPoint(Chart.RATIO, np.array([math.exp(-349.5), math.exp(-349.5)]))
@@ -174,6 +190,13 @@ class TestDeterminant:
         w = WeightVector(np.array([1.0, 0.0]))
         x = ChartPoint(Chart.RATIO, np.array([2.0, 3.0]))
         assert_close(det_hessian_ratio(x, w), np.linalg.det(hessian_ratio(x, w).array), 1e-14)
+
+    def test_underflowing_diagonal_part_overflows(self):
+        # alpha_1 / x_1^2 underflows to 0: det(A) = 0 and 1 / A_11 = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                det_hessian_ratio(ChartPoint(Chart.RATIO, np.array([1e10, 2.0])), WeightVector(np.array([1e-310, 1.0])))
 
     def test_one_dimensional(self):
         w = WeightVector(np.array([1.0]))
@@ -338,3 +361,59 @@ class TestFdHessian:
         tight = ChartPoint(Chart.RATIO, np.array([1e-5]))
         with pytest.raises(DomainViolation):
             fd_hessian(lambda p: cost_ratio(p, w).J, tight)
+
+
+def _ratio_reference(alpha, x):
+    """u, diag, beta and a_scale of the split, R and 1/R, by the array
+    formulas term by term."""
+    S = float(np.dot(alpha, np.log(x)))
+    R, Rinv = math.exp(S), math.exp(-S)
+    return alpha / x, alpha / (x * x), 0.5 * (R + Rinv), -0.5 * (R - Rinv), R, Rinv
+
+
+def _hessian_ratio_reference(alpha, x):
+    u, _, _, _, R, Rinv = _ratio_reference(alpha, x)
+    dense = 0.5 * (R + Rinv) * (u[:, None] * u)
+    np.fill_diagonal(dense, 0.5 * (alpha * (alpha - 1.0) * R + alpha * (alpha + 1.0) * Rinv) / (x * x))
+    return dense
+
+
+def _det_reference(alpha, x):
+    u, diag, beta, a_scale, _, _ = _ratio_reference(alpha, x)
+    if abs(a_scale) < DET_ZERO_COST_S or np.any(alpha == 0.0):
+        return float(np.linalg.det(_hessian_ratio_reference(alpha, x)))
+    a_diag = a_scale * diag
+    return float(np.prod(a_diag)) * (1.0 + beta * float(np.sum(u * u / a_diag)))
+
+
+class TestOnePointBits:
+    """The one-point closed forms, assembled on floats, against references
+    written term by term with numpy arrays: 200 seeded points of each kind,
+    equal bit for bit."""
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_ratio_chart(self, kind, rng):
+        routes = {"lemma": 0, "direct": 0}
+        for i in range(200):
+            alpha, t = draw_point(rng, kind, i)
+            x = np.exp(t)
+            w, p = WeightVector(alpha), ChartPoint(Chart.RATIO, x)
+            u, diag, beta, a_scale, _, _ = _ratio_reference(alpha, x)
+            H = hessian_ratio(p, w).array
+            assert bits(H) == bits(_hessian_ratio_reference(alpha, x)) == bits(H.T)
+            d = decompose(p, w)
+            assert bits(d.u) == bits(u) and bits(d.diag) == bits(diag)
+            assert bits([d.beta, d.a_scale]) == bits([beta, a_scale])
+            assert bits([det_hessian_ratio(p, w)]) == bits([_det_reference(alpha, x)])
+            routes["direct" if abs(a_scale) < DET_ZERO_COST_S or 0.0 in alpha else "lemma"] += 1
+        assert routes["lemma"] >= 100 and routes["direct"] >= 40
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_log_chart(self, kind, rng):
+        for i in range(200):
+            alpha, t = draw_point(rng, kind, i)
+            w, p = WeightVector(alpha), ChartPoint(Chart.LOG, t)
+            S = float(np.dot(alpha, t))
+            assert bits(hessian_log(p, w).array) == bits(math.cosh(S) * np.outer(alpha, alpha))
+            mp = math.sqrt(math.cosh(S))
+            assert bits(fisher_info(p, w).array) == bits((mp * mp) * np.outer(alpha, alpha))

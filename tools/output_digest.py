@@ -109,6 +109,12 @@ COMMANDS = [
     "hessian --chart ratio --alpha 1,-1 --point 1e-200,1e-200",
     # the quadrature's m next to its closed-form slope m'
     "fisher --alpha 1 --point 30",
+    # inside both walls (S = 661.1, 2|log x_i| = 695.9), R / x_2^2 past the double range
+    "hessian --chart ratio --alpha 2,0.1 --point 1.3e151,7.6e-152",
+    # the ratio-chart Hessian, its split and determinant lemma at n = 8, the Fisher information at n = 5
+    "hessian --chart ratio --alpha=0.5,-0.3,0.8,0.2,-0.6,0.4,0.7,-0.1"
+    " --point=1.3,0.4,2.2,0.9,1.7,0.6,1.1,3.0 --format json",
+    "fisher --alpha=0.4,-0.7,0.9,0.3,-0.5 --point=1,0.5,0.8,-0.6,-0.2",
 ]
 
 
