@@ -41,7 +41,7 @@ from recipgeo.errors import (
     ZeroSum,
 )
 
-from conftest import assert_close
+from conftest import assert_close, bits
 
 
 class TestTangentConstraints:
@@ -568,10 +568,6 @@ def _run_callables(monkeypatch, state, a, b):
     return got["rhs"], got["stop"]
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
 def _z_at_delta(a, b, level, side):
     """Z = 1 + side e, e > 0, where |Delta| = level, by bisection from
     Z = 1 (|Delta| grows with e on [0, 0.1] in every weight class drawn)."""
@@ -608,8 +604,8 @@ class TestRunKernels:
             st = GeodesicState(Chart.RATIO, [x, y], [vx, vy], 0.0)
             rhs, _ = _run_callables(monkeypatch, st, a, b)
             got = rhs(0.0, [x, y, vx, vy])
-            assert _bits(got[:2]) == _bits([vx, vy])
-            assert _bits(got[2:]) == _bits(lc_rhs_xy(st, a, b)) == _bits(_accel_xy_reference(a, b, x, y, vx, vy))
+            assert bits(got[:2]) == bits([vx, vy])
+            assert bits(got[2:]) == bits(lc_rhs_xy(st, a, b)) == bits(_accel_xy_reference(a, b, x, y, vx, vy))
 
             s, t = math.log(x), math.log(y)
             q, r = a * s + b * t, -b * s + a * t
@@ -617,8 +613,8 @@ class TestRunKernels:
             sq = GeodesicState(Chart.QR, [q, r], [qd, rd], 0.0)
             rhs, _ = _run_callables(monkeypatch, sq, a, b)
             got = rhs(0.0, [q, r, qd, rd])
-            assert _bits(got[:2]) == _bits([qd, rd])
-            assert _bits(got[2:]) == _bits(lc_rhs_qr(sq, a, b)) == _bits(_accel_qr_reference(a, b, q, qd, rd))
+            assert bits(got[:2]) == bits([qd, rd])
+            assert bits(got[2:]) == bits(lc_rhs_qr(sq, a, b)) == bits(_accel_qr_reference(a, b, q, qd, rd))
 
     @pytest.mark.parametrize("kind", WEIGHT_CLASSES)
     def test_stop_either_side_of_delta_stop(self, kind, rng, monkeypatch):
