@@ -207,7 +207,7 @@ def cmd_hessian(args) -> int:
     report = {f"h[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
     summary = core.cost(point, w)
     s_star = hessian.singular_S(w)
-    report.update(rank=hessian.rank(m), det=float(np.linalg.det(dense)), S=summary.S, J=summary.J,
+    report.update(rank=hessian.rank(m), det=hessian.det_direct(m), S=summary.S, J=summary.J,
                   sum_alpha=w.total, singular_S=s_star)
     if s_star is not None and s_star == 0.0:
         report["singular_S_coincides_with_zero_cost"] = True
@@ -233,16 +233,16 @@ def cmd_christoffel(args) -> int:
     if coords.size != 2:
         raise UsageError("--point needs two coordinates")
     chart = Chart(args.chart)
+    # Python floats: q or a component past the double range is inf, unwarned,
+    # until the wall or the double-range check refuses it
+    x, y = map(float, coords)
     if chart is Chart.RATIO:
-        # Python floats: a component past the double range is inf, unwarned,
-        # until lc_christoffel_xy's own finiteness check
-        x, y = map(float, coords)
         gamma = connection.lc_christoffel_xy(w.a, w.b, x, y)
         Z = connection.z_xy(w.a, w.b, x, y)
         names = "xy"
         report = {"Z": Z, "Delta": connection.delta(w.a, w.b, Z)}
     elif chart is Chart.LOG:
-        gamma = connection.lc_christoffel_st(w.a, w.b, coords[0], coords[1])
+        gamma = connection.lc_christoffel_st(w.a, w.b, x, y)
         names = "st"
         report = {"q": core.log_to_qr(coords, w.a, w.b)[0]}
     else:

@@ -5,6 +5,12 @@ Ricci scalar in the Z = x^{2a} y^{2b} and q = a s + b t variables, the flat
 affine connections of both structures expressed in either chart, the
 projective-equivalence obstruction, and finite-difference oracles that keep
 every closed form honest.
+
+The overflow policy is core's: the closed forms in Z = e^{2q} and sinh 2q
+are walled at 2|q| <= S_MAX, and the (x, y) chart's x^2 and y^2 at
+2|log x|, 2|log y| <= S_MAX, by core.check_wall; a Christoffel table or a
+Ricci scalar that still leaves the double range inside the walls raises
+Overflow through core.check_finite.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import S_MAX, Chart, ChartPoint, check_S, math_for
+from .core import Chart, ChartPoint, check_finite, check_S, check_wall, math_for
 from .errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
-    Overflow,
     SingularLocus,
     SingularMetric,
     ZeroExponent,
@@ -85,18 +90,17 @@ def z_xy(a: float, b: float, x, y, xp=None):
     return xp.exp(2.0 * (a * xp.log(x) + b * xp.log(y)))
 
 
-def _check_2q(q: float, formed: str) -> float:
-    """q itself, once 2|q| <= S_MAX, the wall of the closed forms that form
-    e^{2q} or sinh 2q; otherwise (NaN included) raises Overflow."""
-    if not 2.0 * abs(q) <= S_MAX:
-        raise Overflow(f"2|q| = {2.0 * abs(q):g} exceeds S_MAX = {S_MAX:g}, the overflow wall of {formed}")
-    return q
-
-
 def delta(a: float, b: float, Z):
     """The Levi-Civita denominator Delta = (Z - 1)((a+b-1) Z + (a+b+1))."""
     zero, sing, _ = z_factors(a, b, Z)
     return zero * sing
+
+
+def _table(q: float, components: tuple) -> ChristoffelTensor:
+    """The Christoffel table of the six distinct components at q, once each
+    lies in the double range."""
+    check_finite(components, "a Christoffel symbol at q = {:g}", q)
+    return ChristoffelTensor.from_2d(*components)
 
 
 def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTensor:
@@ -104,16 +108,15 @@ def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTens
     q = a log x + b log y keeps 2|q| within S_MAX and the components'
     x^2 and y^2 keep 2|log x| and 2|log y| within it too.  The components
     form Z^2 = e^{4q} and ratios such as y / x^2, so a point inside both
-    walls whose components pass the double range also raises Overflow."""
+    walls whose components leave the double range also raises Overflow."""
     if a == 0.0 or b == 0.0:
         raise ZeroExponent("closed forms require a, b != 0")
     if x <= 0.0 or y <= 0.0:
         raise NonPositiveCoordinate("ratio coordinates must be positive")
     log_x, log_y = math.log(x), math.log(y)
-    q = _check_2q(a * log_x + b * log_y, "Z = e^(2q)")
-    reach = 2.0 * max(abs(log_x), abs(log_y))
-    if not reach <= S_MAX:
-        raise Overflow(f"2|log x| or 2|log y| = {reach:g} exceeds S_MAX = {S_MAX:g}, the overflow wall of x^2 and y^2")
+    q = a * log_x + b * log_y
+    check_wall(2.0 * q, "2|q|", "Z = e^(2q)")
+    check_wall(2.0 * max(abs(log_x), abs(log_y)), "2|log x| or 2|log y|", "x^2 and y^2")
     Z = math.exp(2.0 * q)  # z_xy(a, b, x, y), bit for bit
     Delta = delta(a, b, Z)
     if abs(Delta) < EPS_SINGULAR:
@@ -133,16 +136,16 @@ def lc_christoffel_xy(a: float, b: float, x: float, y: float) -> ChristoffelTens
         + 4.0 * Z * a * b - 2.0 * Z * b * b - 4.0 * Z
         + 2.0 * a * b + 2.0 * a + b * b + 3.0 * b + 2.0
     ) / (2.0 * y * Delta)
-    components = (xxx, xxy, xyy, yxx, yxy, yyy)
-    if not all(map(math.isfinite, components)):
-        raise Overflow(f"the Christoffel symbols at q = {q:g} pass the double range")
-    return ChristoffelTensor.from_2d(*components)
+    return _table(q, (xxx, xxy, xyy, yxx, yxy, yyy))
 
 
 def lc_christoffel_st(a: float, b: float, s: float, t: float) -> ChristoffelTensor:
     """The same connection in (s, t) = (log x, log y); every component
-    depends on the point only through q = a s + b t, with 2|q| within S_MAX."""
-    q = _check_2q(check_S(a * s + b * t), "sinh 2q")
+    depends on the point only through q = a s + b t, with 2|q| within S_MAX.
+    Components such as a csch^2 q / den can still leave the double range
+    inside the wall, which raises Overflow."""
+    q = a * s + b * t
+    check_wall(2.0 * q, "2|q|", "sinh 2q")
     sh = math.sinh(q)
     if abs(sh) < EPS_SINGULAR:
         raise SingularMetric("q = 0 (zero-cost hypersurface)")
@@ -159,7 +162,7 @@ def lc_christoffel_st(a: float, b: float, s: float, t: float) -> ChristoffelTens
     tss = -a * csch2 * (3.0 * a - sh2q + a * ch2q) / (4.0 * den)
     tst = a * ((a - b) * cth * cth - cth + b) / (2.0 * den)
     ttt = b * (2.0 * a * cth * cth - cth + b) / (2.0 * den)
-    return ChristoffelTensor.from_2d(sss, sst, stt, tss, tst, ttt)
+    return _table(q, (sss, sst, stt, tss, tst, ttt))
 
 
 def _invert_2x2(g: np.ndarray) -> np.ndarray:
@@ -216,8 +219,7 @@ def ricci_xy(a: float, b: float, Z):
         if abs(zero) < EPS_SINGULAR or abs(sing) < EPS_SINGULAR:
             raise SingularLocus("Ricci scalar diverges on the degeneracy loci")
         value = ricci(math.sqrt)
-        if not math.isfinite(value):
-            raise Overflow(f"the Ricci scalar at Z = {Z:g} passes the double range")
+        check_finite([value], "the Ricci scalar at Z = {:g}", Z)
         return value
     if a + b == 0.0:
         return np.zeros_like(Z)
@@ -227,7 +229,8 @@ def ricci_xy(a: float, b: float, Z):
 
 
 def ricci_q(a: float, b: float, q: float) -> float:
-    """Ricci scalar in the q variable, |q| <= S_MAX; equals ricci_xy at Z = e^{2q}."""
+    """Ricci scalar in the q variable, |q| <= S_MAX; equals ricci_xy at Z = e^{2q}.
+    A value past the double range (with a + b near 1e154, say) raises Overflow."""
     sh = math.sinh(check_S(q))
     if abs(sh) < EPS_SINGULAR:
         raise SingularLocus("q = 0 lies on the zero-cost hypersurface")
@@ -235,7 +238,9 @@ def ricci_q(a: float, b: float, q: float) -> float:
     den = (a + b) * cth - 1.0
     if abs(den) < EPS_SINGULAR:
         raise SingularLocus("secondary singular locus (a+b) coth q = 1")
-    return (a + b) * ((a + b) * cth - 2.0) / (sh * sh * sh) / (2.0 * den * den)
+    value = (a + b) * ((a + b) * cth - 2.0) / (sh * sh * sh) / (2.0 * den * den)
+    check_finite([value], "the Ricci scalar at q = {:g}", q)
+    return value
 
 
 def affine_connection(structure: AffineStructure, chart: Chart, p: ChartPoint) -> ChristoffelTensor:

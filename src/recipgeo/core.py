@@ -11,13 +11,20 @@ t = log x the same cost reads J(t) = cosh(alpha . t) - 1.
 Inputs are validated once, where a WeightVector or ChartPoint is built, on
 the floats of one tolist() and with typed errors.  Both are frozen: each
 keeps a read-only copy of its array and stores what that array determines
-(the sum of the weights, |alpha|^2, the aliases a and b and whether the
-weights are canonical; the log coordinates of a ratio or log point), so the
-closed forms read them without checking or computing them again.  At one
-point the arithmetic runs on Python floats, which round each operation as
-numpy does.  Each reduction that forms a value stays numpy (np.dot in
-alpha_dot, np.sum and np.dot in the stored sums): a Python loop adds in
-another order and changes the last bits.
+(the sum of the weights, |alpha|^2, the largest alpha_i^2, the aliases a
+and b and whether the weights are canonical; the log coordinates of a
+ratio or log point), so the closed forms read them without checking or
+computing them again.  At one point the arithmetic runs on Python floats,
+which round each operation as numpy does.  Each reduction that forms a
+value stays numpy (np.dot in alpha_dot, np.sum and np.dot in the stored
+sums): a Python loop adds in another order and changes the last bits.
+
+This module owns the overflow policy of every closed form: a value either
+comes back finite or Overflow is raised.  check_wall refuses a quantity past
+S_MAX (check_S is the wall of S; the other modules wall 2q and 2|log x_i|
+with it), and check_finite refuses what still leaves the double range
+inside the walls.  No other module compares against S_MAX or tests
+finiteness to decide on Overflow.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from .errors import (
 )
 
 # The one overflow wall: every closed form reads S = alpha . t (or q = S)
-# through check_S, which refuses |S| past this, a little short of where exp
-# and cosh overflow.
+# through check_S, and 2q or 2|log x_i| through check_wall, which refuse a
+# value past this, a little short of where exp and cosh overflow.
 S_MAX = 700.0
 # the box of sample_log_points in each log coordinate
 SAMPLE_LOW, SAMPLE_HIGH = -3.0, 3.0
@@ -91,10 +98,11 @@ class WeightVector:
     read-only copy of it as `alpha`, so the caller's array stays writeable
     and no later write to it reaches the weights.  It stores what alpha
     determines: n; `total`, the sum of the weights, which controls the
-    singular locus tanh(S) = total; `norm_sq` = |alpha|^2; the 2D aliases
-    `a` and `b`; and whether the weights are the canonical 1/n.  The two
-    sums stay numpy reductions (np.sum, np.dot): a Python loop adds in
-    another order and changes their last bits."""
+    singular locus tanh(S) = total; `norm_sq` = |alpha|^2; `peak_sq`, the
+    largest alpha_i^2, so that c * peak_sq is the largest entry of
+    c alpha alpha^T; the 2D aliases `a` and `b`; and whether the weights are
+    the canonical 1/n.  The two sums stay numpy reductions (np.sum, np.dot):
+    a Python loop adds in another order and changes their last bits."""
 
     alpha: np.ndarray
 
@@ -112,9 +120,10 @@ class WeightVector:
             raise Overflow("|alpha|^2 overflows the double range")
         arr.flags.writeable = False
         n = len(vals)
+        peak = max(map(abs, vals))
         # a frozen dataclass refuses setattr; the stored values go to its __dict__
         self.__dict__.update(alpha=arr, n=n, total=float(np.sum(arr)), norm_sq=float(np.dot(arr, arr)),
-                             a=vals[0], _b=vals[1] if n > 1 else None,
+                             peak_sq=peak * peak, a=vals[0], _b=vals[1] if n > 1 else None,
                              _canonical=all(abs(v - 1.0 / n) < 1e-15 for v in vals))
 
     @classmethod
@@ -189,17 +198,34 @@ def _check_dims(p: ChartPoint, w: WeightVector) -> None:
         raise DimensionMismatch(f"point has n={p.n}, weights have n={w.n}")
 
 
-def check_S(S):
-    """S itself, once |S| <= S_MAX holds at a float S or at every entry of an
-    array S.  Otherwise raises Overflow, naming the first entry that breaks
-    it (NaN included)."""
-    first = S
-    if isinstance(S, np.ndarray):
-        over = S[~(np.abs(S) <= S_MAX)]
+def check_wall(value, name: str, formed: str):
+    """value itself, once |value| <= S_MAX holds at a float or at every entry
+    of an array.  Otherwise raises Overflow, naming the quantity (`name`:
+    |S|, 2|q| or 2|log x_i|), its first entry that breaks the wall (NaN
+    included) and what overflows past it (`formed`)."""
+    first = value
+    if isinstance(value, np.ndarray):
+        over = value[~(np.abs(value) <= S_MAX)]
         first = over[0] if over.size else 0.0
     if not abs(first) <= S_MAX:
-        raise Overflow(f"|S| = {abs(first):g} exceeds S_MAX = {S_MAX:g}, the overflow wall of exp and cosh")
-    return S
+        raise Overflow(f"{name} = {abs(first):g} exceeds S_MAX = {S_MAX:g}, the overflow wall of {formed}")
+    return value
+
+
+def check_S(S):
+    """S itself, once |S| <= S_MAX holds at a float S or at every entry of an
+    array S: the wall of exp and cosh."""
+    return check_wall(S, "|S|", "exp and cosh")
+
+
+def check_finite(values, what: str, *where) -> None:
+    """The double-range check: raises Overflow unless every float of
+    `values` is finite.  Inside the walls a closed form can still leave the
+    double range through products and quotients of its terms; the caller
+    passes the values, or one value that bounds them all, and names them in
+    `what`, whose format fields `where` fills once a value is refused."""
+    if not all(map(math.isfinite, values)):
+        raise Overflow(f"{what.format(*where)} leaves the double range")
 
 
 def alpha_dot(y: np.ndarray, alpha: np.ndarray):
@@ -280,7 +306,8 @@ def transform(p: ChartPoint, target: Chart, w: WeightVector) -> ChartPoint:
         raise UnsupportedChartPair("the (q, r) chart exists only for n = 2")
 
     if p.chart is Chart.LOG and target is Chart.RATIO:
-        coords = np.exp(p.coords)
+        with np.errstate(over="ignore"):  # an infinite entry is refused below
+            coords = np.exp(p.coords)
         if np.any(coords == 0.0):
             raise NonPositiveCoordinate("exp underflowed to zero on the ratio chart")
         if not np.all(np.isfinite(coords)):

@@ -13,10 +13,13 @@ determinants and locus values are floats.
 The ratio-chart Hessian, its split and its determinant lemma are assembled
 on Python floats, in the operation order of the array formulas, so they
 keep those formulas' bits; the log-chart Hessian broadcasts alpha against
-itself.  The lemma's sum u^T A^{-1} u stays a numpy reduction.  The ratio
-chart is walled at |S| <= S_MAX and 2|log x_i| <= S_MAX; inside both walls
-an entry, the split or the determinant can still leave the double range,
-and then Overflow is raised in place of an infinite value.
+itself.  The lemma's sum u^T A^{-1} u stays a numpy reduction.
+
+The overflow policy is core's: the ratio chart is walled at |S| <= S_MAX
+and 2|log x_i| <= S_MAX by core.check_wall, and where an entry, the split
+or a determinant still leaves the double range inside the walls,
+core.check_finite raises Overflow in place of an infinite value.  A
+rank-one matrix c alpha alpha^T is checked at its largest entry alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import S_MAX, Chart, ChartPoint, S_at, WeightVector, alpha_dot, log_coords, transform
+from .core import Chart, ChartPoint, S_at, WeightVector, alpha_dot, check_finite, check_wall, log_coords, transform
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -74,19 +77,19 @@ class HessianDecomposition:
     a_scale: float
 
 
+def rank_one(c: float, w: WeightVector, what: str) -> SymMatrix:
+    """c * alpha alpha^T for a finite c.  Rounding is monotone, so no entry
+    exceeds c * max alpha_i^2 = c * w.peak_sq, and that one product decides
+    whether the matrix, named `what`, leaves the double range."""
+    check_finite([c * w.peak_sq], what)
+    alpha = w.alpha
+    return SymMatrix(c * (alpha[:, None] * alpha))
+
+
 def hessian_log(t: ChartPoint, w: WeightVector) -> SymMatrix:
     """Log-chart Hessian cosh(S) * alpha alpha^T (rank one for any t)."""
     t.require_chart(Chart.LOG)
-    alpha = w.alpha
-    return SymMatrix(math.cosh(S_at(t, w)) * (alpha[:, None] * alpha))
-
-
-def _finite(values: list, what: str) -> None:
-    """Raises Overflow unless every value is finite: inside both walls,
-    alpha_i / x_i^2, u_i u_j and their products can still leave the double
-    range."""
-    if not all(map(math.isfinite, values)):
-        raise Overflow(f"the ratio-chart {what} leaves the double range")
+    return rank_one(math.cosh(S_at(t, w)), w, "the log-chart Hessian")
 
 
 def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, float, float]:
@@ -98,9 +101,7 @@ def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, floa
     t = log_coords(x, w)
     S = alpha_dot(t, w.alpha)
     logs = t.tolist()
-    reach = 2.0 * max(-min(logs), max(logs))
-    if not reach <= S_MAX:
-        raise Overflow(f"2|log x_i| = {reach:g} exceeds S_MAX = {S_MAX:g}, the overflow wall of x_i^2")
+    check_wall(2.0 * max(-min(logs), max(logs)), "2|log x_i|", "x_i^2")
     alpha, c = w.alpha.tolist(), x.coords.tolist()
     return alpha, c, [ai / ci for ai, ci in zip(alpha, c)], math.exp(S), math.exp(-S)
 
@@ -116,7 +117,7 @@ def hessian_ratio(x: ChartPoint, w: WeightVector) -> SymMatrix:
     flat = [beta * (ui * uj) for ui in u for uj in u]
     for i, (ai, ci) in enumerate(zip(alpha, c)):
         flat[i * (n + 1)] = 0.5 * (ai * (ai - 1.0) * R + ai * (ai + 1.0) * Rinv) / (ci * ci)
-    _finite(flat, "Hessian")
+    check_finite(flat, "the ratio-chart Hessian")
     return SymMatrix(np.array(flat).reshape(n, n))
 
 
@@ -124,7 +125,7 @@ def _split(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, float, flo
     """alpha, and the split of `decompose` as floats: u, diag, beta, a_scale."""
     alpha, c, u, R, Rinv = _ratio_terms(x, w)
     diag = [ai / (ci * ci) for ai, ci in zip(alpha, c)]
-    _finite(u + diag, "split")
+    check_finite(u + diag, "the ratio-chart split")
     return alpha, u, diag, 0.5 * (R + Rinv), -0.5 * (R - Rinv)
 
 
@@ -146,14 +147,24 @@ def det_hessian_ratio(x: ChartPoint, w: WeightVector) -> float:
     """
     alpha, u, diag, beta, a_scale = _split(x, w)
     if abs(a_scale) < DET_ZERO_COST_S or 0.0 in alpha:
-        det = float(np.linalg.det(hessian_ratio(x, w).array))
-    else:
-        a_diag = [a_scale * di for di in diag]
-        if 0.0 in a_diag:  # underflowed: det(A) leaves the double range, and 1 / A_ii with it
-            raise Overflow("the ratio-chart determinant leaves the double range")
-        quad = float(np.add.reduce([ui * ui / ad for ui, ad in zip(u, a_diag)]))
-        det = math.prod(a_diag) * (1.0 + beta * quad)
-    _finite([det], "determinant")
+        return det_direct(hessian_ratio(x, w))
+    a_diag = [a_scale * di for di in diag]
+    if 0.0 in a_diag:  # underflowed: det(A) leaves the double range, and 1 / A_ii with it
+        raise Overflow("the ratio-chart determinant leaves the double range")
+    quad = float(np.add.reduce([ui * ui / ad for ui, ad in zip(u, a_diag)]))
+    det = math.prod(a_diag) * (1.0 + beta * quad)
+    check_finite([det], "the ratio-chart determinant")
+    return det
+
+
+def det_direct(m: SymMatrix) -> float:
+    """The determinant of a matrix by LU (np.linalg.det), with numpy's
+    floating-point warnings silenced: a subnormal or huge pivot divides by
+    zero or overflows inside the factorization.  A result that is not
+    finite raises Overflow."""
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(m.array))
+    check_finite([det], "the direct determinant")
     return det
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Chart, ChartPoint, S_at, WeightVector, check_S, cost_ratio
 from .errors import DimensionMismatch, NonPositiveInput
-from .hessian import SymMatrix, hessian_log
+from .hessian import SymMatrix, hessian_log, rank_one
 
 QUADRATURE_TOL = 1e-12
 # |alpha . direction| below this (scaled) marks a radical direction
@@ -137,5 +137,4 @@ def fisher_info(t: ChartPoint, w: WeightVector) -> SymMatrix:
     which coincides entrywise with the log-chart Hessian metric."""
     t.require_chart(Chart.LOG)
     mp = mean_slope(S_at(t, w))
-    alpha = w.alpha
-    return SymMatrix((mp * mp) * (alpha[:, None] * alpha))
+    return rank_one(mp * mp, w, "the Fisher information")

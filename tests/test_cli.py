@@ -97,6 +97,24 @@ class TestHessian:
         assert_close(float(table["det_lemma"]), -0.328125, 1e-12)
 
 
+    def test_subnormal_determinant_unwarned(self, capsys):
+        # entries and determinant subnormal or zero: numpy's LU divides by
+        # zero on the way, unwarned, and the report keeps its bytes
+        argv = ["hessian", "--chart", "ratio", "--alpha=-3.2477906522764906e-122,-2.1672478321195007e-68",
+                "--point=5.643185458960553e+44,1.4213928485581296e+86"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "quantity,value\nh[0][0],0\nh[0][1],8.7746058701405386e-321\nh[1][1],0\nrank,2\ndet,-0\n"
+            "S,-4.2992552450271949e-66\nJ,9.2417978309469232e-132\nsum_alpha,-2.1672478321195007e-68\n"
+            "singular_S,-2.1672478321195007e-68\ndet_lemma,-0\nbeta,1\na_scale,-0\n"
+            "u[0],-5.7552435160880181e-167\ndiag[0],-1.0198572345251446e-211\n"
+            "u[1],-1.5247352864607213e-154\ndiag[1],-1.0727050498441885e-240\nlocus_value,\n"
+        )
+        assert [line.startswith("{") for line in captured.err.splitlines()] == [True]
+
     def test_json_types(self, capsys):
         assert main([
             "hessian", "--chart", "log", "--point", "0,0", "--alpha", "0.5,0.5", "--format", "json",
@@ -378,6 +396,19 @@ class TestBadInput:
         # inside both walls (S = 661.1, 2|log x_i| = 695.9), R / x_2^2 past
         # the double range
         "hessian --chart ratio --alpha 2,0.1 --point 1.3e151,7.6e-152",
+        # S = 260 inside the wall, cosh S * alpha_i alpha_j past the double range
+        "hessian --chart log --alpha 1e100,1e100 --point 1.3e-98,1.3e-98",
+        "fisher --alpha 1e100,1e100 --point 1.3e-98,1.3e-98",
+        # a subnormal weight: the LU of the direct determinant divides by zero,
+        # and the determinant lemma's det(A) underflows
+        "hessian --chart ratio --alpha 1e-310,1 --point 1e10,2",
+        # q = 275.5 inside the wall 2|q| <= S_MAX, G^t_ss past the double range
+        "christoffel --chart log --alpha=-1.2819326382081938e+152,7.691090675299943e+22"
+        " --point=-2.149311366132404e-150,-5.0785004443045275e-151",
+        # (a + b)^2 past the double range, inside the wall |q| <= S_MAX
+        "ricci --alpha 9.4e153,9.4e153 --q 0.5",
+        # q = a s + b t itself past the double range
+        "christoffel --chart log --alpha 1e150,1 --point 1e200,1",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():
@@ -387,6 +418,7 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: --range" if argv.startswith("locus") else "error: Overflow:")
         assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--alpha", "1,-1", "--point", "2,2", "--span", "0,1", "--tol", "0"],

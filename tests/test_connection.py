@@ -255,6 +255,14 @@ class TestZWall:
             ricci_xy(1.0, 1.0, 1e300)
         assert math.isfinite(ricci_xy(1.0, 1.0, 1e100))
 
+    @pytest.mark.parametrize("q", [0.5, -0.5, S_MAX])
+    def test_ricci_q_past_the_double_range(self, q):
+        # (a + b)^2 past the double range, with |alpha|^2 still inside it:
+        # unchecked, the value reads inf / inf = NaN
+        with pytest.raises(Overflow):
+            ricci_q(9.4e153, 9.4e153, q)
+        assert math.isfinite(ricci_q(9.4e153, -9.3e153, q))
+
 
 def _log_point(rng, n):
     return ChartPoint(Chart.LOG, rng.uniform(-3.0, 3.0, n))

@@ -28,10 +28,12 @@ from recipgeo.errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
     Overflow,
+    RecipGeoError,
     UnsupportedChartPair,
     ZeroArgument,
     ZeroWeightVector,
 )
+from recipgeo.hessian import SymMatrix
 
 from conftest import POINT_KINDS, assert_close, bits, draw_point
 
@@ -392,6 +394,88 @@ class TestOverflowWall:
         # S > 0 only: at S < 0 the ratio-chart Hessian entries cosh S / (x_i x_j)
         # themselves pass the double range, whatever the wall
         assert np.all(np.isfinite(np.asarray(READS_S[name](S_MAX - 0.5), dtype=float)))
+
+
+def draw_extreme(rng, i):
+    """Weights alpha and log coordinates t of the i-th draw of the overflow
+    policy test: every other draw has n = 2, and each weight is O(1) or of
+    size 10^U(-300, 300), with random signs.  By turns t is left as drawn,
+    scaled to put S anywhere within S_MAX (t itself may then be huge), or
+    scaled into both walls, |S| <= S_MAX and 2|t_i| <= S_MAX."""
+    n = 2 if i % 2 == 0 else int(rng.choice([1, 3, 5, 8]))
+    wild = rng.random(n) < 0.5
+    alpha = rng.choice([-1.0, 1.0], n) * np.where(wild, 10.0 ** rng.uniform(-300.0, 300.0, n),
+                                                  rng.uniform(0.2, 1.5, n))
+    t = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 3.0, n)
+    S = sum(a * b for a, b in zip(alpha.tolist(), t.tolist()))  # Python floats: inf or nan, unwarned
+    target = rng.uniform(-S_MAX, S_MAX)
+    by_S = target / S if S != 0.0 and math.isfinite(S) else 1.0
+    with np.errstate(over="ignore"):  # an infinite t is skipped by the caller
+        if i % 3 == 1:
+            t = t * by_S
+        elif i % 3 == 2:
+            t = t * min(abs(by_S), rng.uniform(0.0, 0.5 * S_MAX) / float(np.max(np.abs(t))))
+    return alpha, t
+
+
+class TestOverflowPolicy:
+    def test_finite_or_typed_error(self):
+        # every closed form either returns finite values or raises a typed
+        # error, and numpy never warns on the way; flows are left out, whose
+        # cost_rate reads inf below the wall (PAST_ONLY)
+        rng = np.random.default_rng(2020)
+        leaks = {}
+
+        def probe(name, fn):
+            try:
+                value = fn()
+            except RecipGeoError:
+                return None
+            except Exception as exc:  # a warning turned error, OverflowError, ZeroDivisionError
+                leaks.setdefault(name, []).append(repr(exc))
+                return None
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                leaks.setdefault(name, []).append(repr(value))
+            return value
+
+        def summary(c):
+            return [c.R, c.S, c.J] + ([] if c.G is None else [c.G])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(2000):
+                alpha, t = draw_extreme(rng, i)
+                if not np.all(np.isfinite(t)):
+                    continue
+                try:
+                    w = WeightVector(alpha)
+                except RecipGeoError:
+                    continue
+                tp = ChartPoint(Chart.LOG, t)
+                probe("cost log", lambda: summary(cost(tp, w)))
+                probe("hessian_log", lambda: hessian.hessian_log(tp, w).array)
+                probe("fisher_info", lambda: infogeo.fisher_info(tp, w).array)
+                S = probe("S_at", lambda: S_at(tp, w))
+                if w.n == 2:
+                    a, b = w.a, w.b
+                    probe("lc_christoffel_st", lambda: connection.lc_christoffel_st(a, b, *t.tolist()).array)
+                    if S is not None:
+                        probe("ricci_q", lambda: connection.ricci_q(a, b, S))
+                        probe("ricci_xy", lambda: connection.ricci_xy(a, b, math.exp(S)))
+                x = probe("transform(LOG->RATIO)", lambda: transform(tp, Chart.RATIO, w).coords)
+                if x is None:
+                    continue
+                xp = ChartPoint(Chart.RATIO, x)
+                probe("cost ratio", lambda: summary(cost(xp, w)))
+                probe("symmetrized_is", lambda: infogeo.symmetrized_is(xp, w))
+                probe("decompose", lambda: np.hstack([*vars(hessian.decompose(xp, w)).values()]))
+                probe("det_hessian_ratio", lambda: hessian.det_hessian_ratio(xp, w))
+                m = probe("hessian_ratio", lambda: hessian.hessian_ratio(xp, w).array)
+                if m is not None:
+                    probe("det_direct", lambda: hessian.det_direct(SymMatrix(m)))
+                if w.n == 2:
+                    probe("lc_christoffel_xy", lambda: connection.lc_christoffel_xy(a, b, *x.tolist()).array)
+        assert not leaks, {name: (len(found), found[:3]) for name, found in leaks.items()}
 
 
 class TestTransform:

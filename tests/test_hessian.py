@@ -24,7 +24,7 @@ from recipgeo import (
 )
 from recipgeo import fisher_info
 from recipgeo.errors import DomainViolation, Overflow, ZeroCostPoint
-from recipgeo.hessian import DET_ZERO_COST_S
+from recipgeo.hessian import DET_ZERO_COST_S, det_direct, rank_one
 
 from conftest import POINT_KINDS, assert_close, assert_matrix_close, bits, draw_point
 
@@ -65,6 +65,20 @@ class TestHessianLog:
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         assert_matrix_close(m.to_dense(), expected, 1e-15)
+
+    def test_rank_one_decided_at_its_largest_entry(self, rng):
+        # c * max alpha_i^2 is finite exactly when every entry of c alpha alpha^T is
+        for n in (1, 2, 3, 8):
+            for _ in range(200):
+                w = WeightVector(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(100.0, 154.0, n))
+                c = float(np.nextafter(np.finfo(float).max / w.peak_sq, math.inf) * rng.uniform(0.999999, 1.000001))
+                with np.errstate(over="ignore"):
+                    dense = c * (w.alpha[:, None] * w.alpha)
+                if np.all(np.isfinite(dense)):
+                    assert bits(rank_one(c, w, "m").array) == bits(dense)
+                else:
+                    with pytest.raises(Overflow):
+                        rank_one(c, w, "m")
 
     def test_rank_one_everywhere(self, rng):
         for n in (2, 3, 5):
@@ -201,6 +215,24 @@ class TestDeterminant:
     def test_one_dimensional(self):
         w = WeightVector(np.array([1.0]))
         assert_close(det_hessian_ratio(ChartPoint(Chart.RATIO, np.array([2.0])), w), 0.125, 1e-14)
+
+    def test_direct_determinant_keeps_the_bits_of_lu(self, rng):
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(10):
+                m = rng.normal(size=(n, n))
+                m = SymMatrix(m + m.T)
+                assert bits([det_direct(m)]) == bits([np.linalg.det(m.array)])
+
+    def test_direct_determinant_unwarned(self):
+        # subnormal entries: the LU divides by zero on the way to det = -0.0
+        w = WeightVector(np.array([-3.2477906522764906e-122, -2.1672478321195007e-68]))
+        x = ChartPoint(Chart.RATIO, np.array([5.643185458960553e+44, 1.4213928485581296e+86]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = hessian_ratio(x, w)
+            assert bits([det_direct(m), det_hessian_ratio(x, w)]) == bits([-0.0, -0.0])
+            with pytest.raises(Overflow):
+                det_direct(SymMatrix(np.array([[1e200, 0.0], [0.0, 1e200]])))
 
 
 class TestSingularLocus:

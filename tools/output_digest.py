@@ -115,6 +115,21 @@ COMMANDS = [
     "hessian --chart ratio --alpha=0.5,-0.3,0.8,0.2,-0.6,0.4,0.7,-0.1"
     " --point=1.3,0.4,2.2,0.9,1.7,0.6,1.1,3.0 --format json",
     "fisher --alpha=0.4,-0.7,0.9,0.3,-0.5 --point=1,0.5,0.8,-0.6,-0.2",
+    # inside the walls, past the double range: core's double-range check
+    # refuses the log-chart Hessian and the Fisher information at S = 260,
+    # the direct determinant and the lemma at a subnormal weight, and a
+    # Christoffel symbol at q = 275.5; the Ricci scalar with (a + b)^2 past it
+    "hessian --chart log --alpha 1e100,1e100 --point 1.3e-98,1.3e-98",
+    "fisher --alpha 1e100,1e100 --point 1.3e-98,1.3e-98",
+    "hessian --chart ratio --alpha 1e-310,1 --point 1e10,2",
+    "christoffel --chart log --alpha=-1.2819326382081938e+152,7.691090675299943e+22"
+    " --point=-2.149311366132404e-150,-5.0785004443045275e-151",
+    "ricci --alpha 9.4e153,9.4e153 --q 0.5",
+    # q = a s + b t itself past the double range
+    "christoffel --chart log --alpha 1e150,1 --point 1e200,1",
+    # subnormal Hessian entries: the direct determinant -0, unwarned
+    "hessian --chart ratio --alpha=-3.2477906522764906e-122,-2.1672478321195007e-68"
+    " --point=5.643185458960553e+44,1.4213928485581296e+86",
 ]
 
 
