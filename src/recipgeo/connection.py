@@ -3,8 +3,9 @@
 Closed-form Christoffel symbols in both the (x, y) and (s, t) charts, the
 Ricci scalar in the Z = x^{2a} y^{2b} and q = a s + b t variables, the flat
 affine connections of both structures expressed in either chart, the
-projective-equivalence obstruction, and finite-difference oracles that keep
-every closed form honest.
+projective-equivalence obstruction, and finite-difference oracles for the
+Christoffel symbols of a metric and the Ricci scalar of a connection, in any
+dimension n, that keep every closed form honest.
 
 The overflow policy is core's: the closed forms in Z = e^{2q} and sinh 2q
 are walled at 2|q| <= S_MAX, and the (x, y) chart's x^2 and y^2 at
@@ -30,7 +31,6 @@ from .errors import (
     SingularMetric,
     ZeroExponent,
 )
-from .hessian import SymMatrix
 
 # Christoffel components scale like 1/Delta; below this guard double
 # precision output is garbage.
@@ -165,42 +165,37 @@ def lc_christoffel_st(a: float, b: float, s: float, t: float) -> ChristoffelTens
     return _table(q, (sss, sst, stt, tss, tst, ttt))
 
 
-def _invert_2x2(g: np.ndarray) -> np.ndarray:
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """g^{-1} of an (n, n) metric, refused where |det g| < 1e-12 scale^n,
+    scale = max |g_ij|; taken as det(g / scale), which cannot overflow."""
     scale = float(np.max(np.abs(g)))
-    if abs(det) < 1e-12 * max(scale * scale, 1e-300):
-        raise SingularMetric(f"metric determinant {det:.3e} below 1e-12 of scale")
-    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    det = float(np.linalg.det(g / scale)) if scale else 0.0
+    if abs(det) < 1e-12:
+        raise SingularMetric(f"metric determinant {det:.3e} of scale^n, below 1e-12")
+    return np.linalg.inv(g)
 
 
 def _metric_array(metric_fn: Callable[[np.ndarray], object], p: np.ndarray) -> np.ndarray:
-    m = metric_fn(np.asarray(p, dtype=float))
-    if isinstance(m, SymMatrix):
-        return m.array
-    return np.asarray(m, dtype=float)
+    """metric_fn(p) as an (n, n) array: a SymMatrix's `.array`, or the array."""
+    m = metric_fn(p)
+    return np.asarray(getattr(m, "array", m), dtype=float)
+
+
+def _central_differences(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> np.ndarray:
+    """d_l fn at p for every coordinate l, stacked on the leading axis, by
+    central first differences of step ORACLE_STEP."""
+    steps = ORACLE_STEP * np.eye(p.size)
+    return np.stack([fn(p + dp) - fn(p - dp) for dp in steps]) / (2.0 * ORACLE_STEP)
 
 
 def christoffel_from_metric(metric_fn: Callable[[np.ndarray], object], p: np.ndarray) -> ChristoffelTensor:
     """Finite-difference oracle Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2
-    for a 2D metric field, using central first differences and the explicit
-    2x2 adjugate inverse."""
+    for a metric field of any dimension n, from central first differences."""
     p = np.asarray(p, dtype=float)
-    g = _metric_array(metric_fn, p)
-    ginv = _invert_2x2(g)
-    dg = np.empty((2, 2, 2))  # dg[l, i, j] = d_l g_ij
-    for l in range(2):
-        dp = np.zeros(2)
-        dp[l] = ORACLE_STEP
-        dg[l] = (_metric_array(metric_fn, p + dp) - _metric_array(metric_fn, p - dp)) / (2.0 * ORACLE_STEP)
-    gamma = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc += ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return ChristoffelTensor(gamma)
+    dg = _central_differences(lambda q: _metric_array(metric_fn, q), p)  # dg[l, i, j] = d_l g_ij
+    first_kind = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)  # 2 Gamma_l,ij at [i, j, l]
+    ginv = _inverse(_metric_array(metric_fn, p))
+    return ChristoffelTensor(0.5 * np.einsum("kl,ijl->kij", ginv, first_kind))
 
 
 def ricci_xy(a: float, b: float, Z):
@@ -279,7 +274,7 @@ def curvature_from_christoffel(
     p: np.ndarray,
     metric_fn: Optional[Callable[[np.ndarray], object]] = None,
 ) -> float:
-    """Numerical Ricci scalar of a 2D connection field.
+    """Numerical Ricci scalar of a connection field of any dimension n.
 
     R^k_{i l j} = d_l Gamma^k_ij - d_j Gamma^k_il
                   + Gamma^k_lm Gamma^m_ij - Gamma^k_jm Gamma^m_il,
@@ -288,22 +283,8 @@ def curvature_from_christoffel(
     """
     p = np.asarray(p, dtype=float)
     g0 = gamma_fn(p).array
-    dgamma = np.empty((2, 2, 2, 2))  # dgamma[l, k, i, j] = d_l Gamma^k_ij
-    for l in range(2):
-        dp = np.zeros(2)
-        dp[l] = ORACLE_STEP
-        dgamma[l] = (gamma_fn(p + dp).array - gamma_fn(p - dp).array) / (2.0 * ORACLE_STEP)
-    ricci = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            acc = 0.0
-            for k in range(2):
-                acc += dgamma[k, k, i, j] - dgamma[j, k, i, k]
-                for m in range(2):
-                    acc += g0[k, k, m] * g0[m, i, j] - g0[k, j, m] * g0[m, i, k]
-            ricci[i, j] = acc
-    if metric_fn is None:
-        ginv = np.eye(2)
-    else:
-        ginv = _invert_2x2(_metric_array(metric_fn, p))
-    return float(np.sum(ginv * ricci))
+    dgamma = _central_differences(lambda q: gamma_fn(q).array, p)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
+    ricci = (np.einsum("kkij->ij", dgamma) - np.einsum("jkik->ij", dgamma)
+             + np.einsum("kkm,mij->ij", g0, g0) - np.einsum("kjm,mik->ij", g0, g0))
+    ginv = np.eye(p.size) if metric_fn is None else _inverse(_metric_array(metric_fn, p))
+    return float(np.einsum("ij,ij->", ginv, ricci))

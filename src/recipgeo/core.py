@@ -23,8 +23,10 @@ This module owns the overflow policy of every closed form: a value either
 comes back finite or Overflow is raised.  check_wall refuses a quantity past
 S_MAX (check_S is the wall of S; the other modules wall 2q and 2|log x_i|
 with it), and check_finite refuses what still leaves the double range
-inside the walls.  No other module compares against S_MAX or tests
-finiteness to decide on Overflow.
+inside the walls; alpha_dot refuses a dot product whose terms would leave
+the double range before numpy forms it, so no overflow is warned about.  No
+other module compares against S_MAX or tests finiteness to decide on
+Overflow.
 """
 
 from __future__ import annotations
@@ -228,13 +230,34 @@ def check_finite(values, what: str, *where) -> None:
         raise Overflow(f"{what.format(*where)} leaves the double range")
 
 
+# Every WeightVector has |alpha| < 1.35e154 (|alpha|^2 is finite), so while
+# every |y_i| <= _DOT_SAFE no product or partial sum of alpha . y leaves the
+# double range: by Cauchy-Schwarz each is below 1.35e302 sqrt(n).
+_DOT_SAFE = 1e148
+
+
+def _check_dot_range(rows, alpha: np.ndarray) -> None:
+    """Overflow where some row's sum of |alpha_i y_i| leaves the double
+    range, decided on Python floats, which overflow to inf unwarned."""
+    weights = alpha.tolist()
+    for row in rows:
+        bound = sum(abs(a * v) for a, v in zip(weights, row))
+        check_finite([bound], "alpha . t at |t_i| up to {:g}", max(map(abs, row)))
+
+
 def alpha_dot(y: np.ndarray, alpha: np.ndarray):
     """S = alpha . y within S_MAX: a float at one point y (n,), an (N,) array
-    at rows y (N, n).  The rows take one dot product each, so every S, and
-    every value computed from it with math_for(S), has the bits of the
-    one-point call."""
+    at rows y (N, n), for the alpha of a WeightVector.  The rows take one dot
+    product each, so every S, and every value computed from it with
+    math_for(S), has the bits of the one-point call.  A dot product that
+    would leave the double range raises Overflow before numpy forms it."""
     if y.ndim == 2:
+        if not np.abs(y).max(initial=0.0) <= _DOT_SAFE:
+            _check_dot_range(y.tolist(), alpha)
         return check_S((y[:, None, :] @ alpha)[:, 0])
+    ys = y.tolist()
+    if not (-_DOT_SAFE <= min(ys) and max(ys) <= _DOT_SAFE):
+        _check_dot_range([ys], alpha)
     return check_S(float(np.dot(alpha, y)))
 
 
@@ -248,8 +271,13 @@ def log_coords(p: ChartPoint, w: WeightVector) -> np.ndarray:
 
 
 def S_at(p: ChartPoint, w: WeightVector) -> float:
-    """S = alpha . t = log R at a point in any chart, within S_MAX."""
-    return alpha_dot(log_coords(p, w), w.alpha)
+    """S = alpha . t = log R at a point in any chart, within S_MAX.  The log
+    of a positive double lies within 745 of 0, so the stored logs of a ratio
+    point skip alpha_dot's range check."""
+    t = log_coords(p, w)
+    if p.chart is _RATIO:
+        return check_S(float(np.dot(w.alpha, t)))
+    return alpha_dot(t, w.alpha)
 
 
 def cost_from_S(S):
@@ -287,7 +315,7 @@ def cost(p: ChartPoint, w: WeightVector) -> ScalarSummary:
     """Cost in any chart, from S = alpha . t at the log coordinates t of the
     point (QR points are rotated back to them)."""
     t = log_coords(p, w)
-    S = alpha_dot(t, w.alpha)
+    S = S_at(p, w)
     G = math.exp(float(np.mean(t))) if w.is_canonical() else None
     return ScalarSummary(R=math.exp(S), S=S, J=cost_from_S(S), G=G)
 

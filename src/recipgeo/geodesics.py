@@ -194,8 +194,11 @@ def affine_trajectory(
 
     if structure is AffineStructure.LOG_FLAT:
         t0 = start.coords if start.chart is Chart.LOG else np.log(start.coords)
-        # beyond S_MAX in a log coordinate the ratio image is not representable
+        # beyond S_MAX in a log coordinate the ratio image is not representable,
+        # nor is x'' = v^2 x past t_i + 2 log|v_i| = S_MAX
         lo, hi = _line_interval(t0, v, -S_MAX, S_MAX)
+        lo2, hi2 = _line_interval(t0 + 2.0 * np.log(np.maximum(np.abs(v), 1.0)), v, -math.inf, S_MAX)
+        lo, hi = max(lo, lo2), min(hi, hi2)
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = np.exp(t0 + lams[:, None] * v)
@@ -211,7 +214,9 @@ def affine_trajectory(
 
     if lam0 <= lo or lam0 >= hi:
         raise InadmissibleInitialState(f"span start {lam0} outside maximal interval ({lo}, {hi})")
-    margin = 1e-9 * (lam1 - lam0)
+    # the end stays 1e-9 of the covered length inside the domain, so that a
+    # domain edge closer than the span still leaves lam_hi above lam0
+    margin = 1e-9 * (min(lam1, hi) - lam0)
     lam_hi = min(lam1, hi - margin)
     truncated = lam_hi < lam1
     lams = np.linspace(lam0, lam_hi, num)

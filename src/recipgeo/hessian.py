@@ -30,7 +30,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Chart, ChartPoint, S_at, WeightVector, alpha_dot, check_finite, check_wall, log_coords, transform
+from .core import Chart, ChartPoint, S_at, WeightVector, check_finite, check_wall, log_coords, transform
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -98,9 +98,8 @@ def _ratio_terms(x: ChartPoint, w: WeightVector) -> Tuple[list, list, list, floa
     Each divides by x_i^2, so past 2|log x_i| <= S_MAX, after the wall
     |S| <= S_MAX, raises Overflow."""
     x.require_chart(Chart.RATIO)
-    t = log_coords(x, w)
-    S = alpha_dot(t, w.alpha)
-    logs = t.tolist()
+    S = S_at(x, w)
+    logs = log_coords(x, w).tolist()
     check_wall(2.0 * max(-min(logs), max(logs)), "2|log x_i|", "x_i^2")
     alpha, c = w.alpha.tolist(), x.coords.tolist()
     return alpha, c, [ai / ci for ai, ci in zip(alpha, c)], math.exp(S), math.exp(-S)

@@ -181,6 +181,23 @@ class TestGeodesic:
         _, rows = read_csv(out)
         assert float(rows[-1][0]) < 1.0  # lambda stops before the x = 0 wall
 
+    @pytest.mark.parametrize("structure, state", [("log", "1,1,1e12,0"), ("ratio", "1,1,-1e10,0")])
+    def test_affine_edge_closer_than_margin(self, tmp_path, structure, state):
+        # the domain edge lies within 1e-9 of the span from lambda = 0: the
+        # samples still run forward from 0, and every x, x' stays finite
+        out = tmp_path / "affine.csv"
+        code = main([
+            "geodesic", "--alpha", "1,1", "--type", "affine", "--structure", structure,
+            "--state", state, "--span", "0,1", "--samples", "3", "--output", str(out),
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "affine.csv.meta.json").read_text())
+        assert meta["termination"] == "domain_boundary"
+        table = np.array(read_csv(out)[1], dtype=float)
+        assert table[0, 0] == 0.0 and np.all(np.diff(table[:, 0]) > 0.0)
+        assert meta["lam_end"] == table[-1, 0] > 0.0
+        assert np.all(np.isfinite(table)) and np.all(table[:, 1:3] > 0.0)
+
     def test_singular_start_exits_3(self, capsys, tmp_path):
         code = main([
             "geodesic", "--alpha", "0.5,0.5", "--state", "1,1,1,0",
@@ -409,6 +426,11 @@ class TestBadInput:
         "ricci --alpha 9.4e153,9.4e153 --q 0.5",
         # q = a s + b t itself past the double range
         "christoffel --chart log --alpha 1e150,1 --point 1e200,1",
+        # S = alpha . t itself past the double range
+        "eval --chart log --alpha 1e150,1 --point 1e200,1",
+        "hessian --chart log --alpha 1e150,1 --point 1e200,1",
+        "fisher --alpha 1e150,1 --point 1e200,1",
+        "flow --alpha 1e150,1 --point 1e200,1 --span 0,1",
     ])
     def test_past_the_overflow_wall_exits_2(self, capsys, argv):
         with warnings.catch_warnings():

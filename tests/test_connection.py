@@ -360,6 +360,43 @@ class TestCurvatureOracle:
         assert abs(val + 8.0 / 9.0) <= 1e-5
 
 
+class TestOracleAnyDimension:
+    def test_round_three_sphere(self):
+        # diag(1, sin^2 a, sin^2 a sin^2 b): the unit 3-sphere, R = n(n - 1) = 6
+        def metric(p):
+            sa, sb = math.sin(p[0]) ** 2, math.sin(p[1]) ** 2
+            return np.diag([1.0, sa, sa * sb])
+        gamma_fn = lambda p: christoffel_from_metric(metric, p)
+        val = curvature_from_christoffel(gamma_fn, np.array([1.1, 0.8, 0.3]), metric_fn=metric)
+        assert_close(val, 6.0, 1e-5)
+
+    def test_flat_space_in_spherical_coordinates(self):
+        metric = lambda p: np.diag([1.0, p[0] ** 2, (p[0] * math.sin(p[1])) ** 2])
+        p = np.array([1.7, 0.9, 0.4])
+        gamma = christoffel_from_metric(metric, p)
+        assert_close(gamma.array[0, 1, 1], -1.7, 1e-9)  # Gamma^r_theta theta = -r
+        gamma_fn = lambda q: christoffel_from_metric(metric, q)
+        assert abs(curvature_from_christoffel(gamma_fn, p, metric_fn=metric)) <= 1e-5
+
+    @pytest.mark.parametrize("alpha, ricci", [
+        ((0.5, 0.3, 0.2), -5.95608970694873),
+        ((0.4, 0.3, 0.2, 0.1), -12.5294663718763),
+    ])
+    def test_log_chart_hessian_at_sigma_one(self, alpha, ricci):
+        # the x-chart Hessian pulled back to log coordinates at sum(alpha) = 1
+        # and S = 0.9, against a 40-digit mpmath Ricci scalar
+        w = WeightVector(np.array(alpha))
+        t = 0.9 * w.alpha / w.norm_sq
+        gamma_fn = lambda p: christoffel_from_metric(log_metric(w), p)
+        val = curvature_from_christoffel(gamma_fn, t, metric_fn=log_metric(w))
+        assert_close(val, ricci, 1e-5)
+
+    def test_singular_metric_rejected(self):
+        metric = lambda p: np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 10.0]])
+        with pytest.raises(SingularMetric):
+            christoffel_from_metric(metric, np.array([0.1, 0.2, 0.3]))
+
+
 class TestAffineConnections:
     def test_trivial_in_own_chart(self):
         p_log = ChartPoint(Chart.LOG, np.array([0.3, -0.4]))

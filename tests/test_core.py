@@ -389,6 +389,21 @@ class TestOverflowWall:
             with pytest.raises(Overflow):
                 fn(S)
 
+    def test_dot_past_the_double_range_unwarned(self):
+        # alpha_1 t_1 = 1e350 leaves the double range: refused before numpy
+        # forms it, at one point and at rows, with the warnings as errors
+        w = WeightVector(np.array([1e150, 1.0]))
+        t = np.array([1e200, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (t, np.array([[0.0, 0.0], t])):
+                with pytest.raises(Overflow, match="double range"):
+                    alpha_dot(y, w.alpha)
+            # |t_1| past the fast bound 1e148 but every product in range: the plain dot
+            small = WeightVector(np.array([1e-199, 1.0]))
+            assert alpha_dot(t, small.alpha) == float(np.dot(small.alpha, t)) == 11.0
+            assert alpha_dot(np.array([t, t]), small.alpha).tolist() == [11.0, 11.0]
+
     @pytest.mark.parametrize("name", list(READS_S))
     def test_finite_below_s_max(self, name):
         # S > 0 only: at S < 0 the ratio-chart Hessian entries cosh S / (x_i x_j)

@@ -135,7 +135,7 @@ class TestMeanFunction:
             assert_close(mean_function(-S), -mean_function(S), 1e-12)
 
     def test_dual_quadrature(self):
-        # adaptive Simpson against 64-point Gauss-Legendre
+        # the closed form against 64-point Gauss-Legendre
         for S in (0.5, 1.0, 2.0, 5.0):
             gl = gauss_legendre_integral(lambda u: math.sqrt(math.cosh(u)), 0.0, S)
             assert abs(mean_function(S) - gl) <= 1e-10
@@ -145,6 +145,24 @@ class TestMeanFunction:
             assert mean_slope(float(S)) >= 1.0
             if S >= 0:
                 assert mean_function(float(S)) >= S - 1e-12
+
+    @pytest.mark.parametrize("S, m", [
+        (1e-8, 1.0000000000000000083e-8),
+        (0.7, 0.72826851085882906181),
+        (3.0, 5.1373075101335010285),
+        (35.0, 56320749.015496492497),
+        (699.5, 1.1092004663361100634e+152),
+    ])
+    def test_closed_form_pinned(self, S, m):
+        # 40-digit mpmath, by quadrature and by -2i E(iS/2 | 2), which agree
+        assert abs(mean_function(S) - m) <= 1e-15 * m
+        assert mean_function(-S) == -mean_function(S)
+
+    def test_carlson_rd(self):
+        # R_D(x, x, x) = x^(-3/2); R_D(0, 2, 1) and R_D(1, 2, 4) to 20 digits (mpmath elliprd)
+        assert_close(infogeo._carlson_rd(4.0, 4.0, 4.0), 0.125, 1e-16)
+        assert_close(infogeo._carlson_rd(0.0, 2.0, 1.0), 1.7972103521033883112, 1e-15)
+        assert_close(infogeo._carlson_rd(1.0, 2.0, 4.0), 0.21838072549338965369, 1e-15)
 
     def test_overflow_guard(self):
         with pytest.raises(Overflow):
@@ -156,9 +174,9 @@ class TestMeanFunction:
 class TestFisherInfo:
     def test_needs_no_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("fisher_info ran the mean-function quadrature")
+            raise AssertionError("fisher_info ran the mean function")
 
-        monkeypatch.setattr(infogeo, "_adaptive_simpson", refuse)
+        monkeypatch.setattr(infogeo, "mean_function", refuse)
         w = WeightVector(np.array([0.5, -0.8, 1.1]))
         t = np.array([0.7, -1.2, 0.4])
         S = float(w.alpha @ t)

@@ -107,8 +107,9 @@ COMMANDS = [
     "christoffel --alpha 1,1.001 --point 1.5e-152,6.6e151",
     # S = 0 inside its wall, the ratio-chart Hessian's x_i^2 past the coordinate wall
     "hessian --chart ratio --alpha 1,-1 --point 1e-200,1e-200",
-    # the quadrature's m next to its closed-form slope m'
+    # the closed-form m next to its slope m', in the middle and at the wall
     "fisher --alpha 1 --point 30",
+    "fisher --alpha 1 --point 699.5",
     # inside both walls (S = 661.1, 2|log x_i| = 695.9), R / x_2^2 past the double range
     "hessian --chart ratio --alpha 2,0.1 --point 1.3e151,7.6e-152",
     # the ratio-chart Hessian, its split and determinant lemma at n = 8, the Fisher information at n = 5
@@ -127,6 +128,14 @@ COMMANDS = [
     "ricci --alpha 9.4e153,9.4e153 --q 0.5",
     # q = a s + b t itself past the double range
     "christoffel --chart log --alpha 1e150,1 --point 1e200,1",
+    # S = alpha . t itself past the double range: one error line, no warning
+    "eval --chart log --alpha 1e150,1 --point 1e200,1",
+    "hessian --chart log --alpha 1e150,1 --point 1e200,1",
+    "fisher --alpha 1e150,1 --point 1e200,1",
+    "flow --alpha 1e150,1 --point 1e200,1 --span 0,1",
+    # affine runs whose domain edge lies within 1e-9 of the span from lambda = 0
+    "geodesic --type affine --structure log --alpha 1,1 --state 1,1,1e12,0 --span 0,1 --samples 3",
+    "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,-1e10,0 --span 0,1 --samples 3",
     # subnormal Hessian entries: the direct determinant -0, unwarned
     "hessian --chart ratio --alpha=-3.2477906522764906e-122,-2.1672478321195007e-68"
     " --point=5.643185458960553e+44,1.4213928485581296e+86",
