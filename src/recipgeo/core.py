@@ -57,12 +57,13 @@ SAMPLE_LOW, SAMPLE_HIGH = -3.0, 3.0
 
 
 def entrywise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """fn at each entry of a float array.  `math` raises on overflow and
-    domain errors, so the floating-point flags it leaves are not warned about."""
-    ufunc = np.frompyfunc(fn, 1, 1)
+    """fn at each entry of a float array, as a float array of its shape: one
+    call of fn on each Python float of the array, so every entry has the
+    bits of the one-point call, and fn's exceptions (the OverflowError and
+    ValueError of `math`) propagate unchanged.  numpy does no arithmetic on
+    the way, so no floating-point flag is warned about."""
     def apply(v: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return ufunc(v).astype(float)
+        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
     return apply
 
 

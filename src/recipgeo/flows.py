@@ -132,18 +132,19 @@ def integrate_flow(
     c = sgn * n2
     S0 = alpha_dot(arr, alpha)
 
-    def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
-        if sign is FlowSign.DESCENT and abs(y[0]) < CONVERGED_S:
-            return TerminationReason.CONVERGED
-        if sign is FlowSign.ASCENT and abs(y[0]) > BLOWUP_S:
-            return TerminationReason.BLOWUP
-        return None
+    if sign is FlowSign.DESCENT:
+        def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
+            return TerminationReason.CONVERGED if abs(y[0]) < CONVERGED_S else None
+    else:
+        def stop(_tau: float, y: List[float]) -> Optional[TerminationReason]:
+            return TerminationReason.BLOWUP if abs(y[0]) > BLOWUP_S else None
 
     def split(S: np.ndarray) -> tuple:
         ts = arr + (S - S0) / n2 * alpha
         return ts, _flow_velocity(ts, alpha, sgn), _flow_accel(ts, alpha, n2)
 
-    sol = ode.integrate(lambda _tau, y: [c * math.sinh(y[0])], [S0], (tau0, tau1), tol, stop=stop)
+    sinh = math.sinh
+    sol = ode.integrate(lambda _tau, y: [c * sinh(y[0])], [S0], (tau0, tau1), tol, stop=stop)
     return Trajectory.from_solution(sol, Chart.LOG, tau0, samples, split)
 
 
@@ -163,7 +164,11 @@ def _sinh_cosh(S: float) -> float:
 
 def _flow_accel(y: np.ndarray, alpha: np.ndarray, n2: float) -> np.ndarray:
     """d^2 t / dtau^2 = |alpha|^2 sinh(S) cosh(S) alpha (both signs square),
-    at one point or at rows."""
+    at one point or at rows: sinh(2S) / 2 in one pass, and _sinh_cosh at
+    each entry where some |2S| is past sinh's overflow edge."""
     S = alpha_dot(y, alpha)
-    sc = entrywise(_sinh_cosh)(S) if isinstance(S, np.ndarray) else _sinh_cosh(S)
+    try:
+        sc = 0.5 * math_for(S).sinh(2.0 * S)
+    except OverflowError:
+        sc = entrywise(_sinh_cosh)(S) if isinstance(S, np.ndarray) else _sinh_cosh(S)
     return np.multiply.outer(n2 * sc, alpha)

@@ -206,7 +206,8 @@ def affine_trajectory(
 
     else:
         x0 = start.coords if start.chart is Chart.RATIO else np.exp(start.coords)
-        lo, hi = _line_interval(x0, v, 0.0, math.inf)
+        # positive, and log x_i <= S_MAX as in the log-flat structure
+        lo, hi = _line_interval(x0, v, 0.0, math.exp(S_MAX))
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = x0 + lams[:, None] * v

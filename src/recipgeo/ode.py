@@ -15,11 +15,16 @@ The trial step is straight-line code, generated once per state size n on
 first use (n = 1 for flows, n = 4 for geodesics) and cached; `step`
 dispatches on len(y).  The generator writes every weighted sum of stage
 derivatives as one expression per component, in stage order from 0.0 with
-the zero weights kept: y_i + h*(0.0 + a_s1*k1_i + a_s2*k2_i + ...), each
+the zero weights skipped: y_i + h*(0.0 + a_s1*k1_i + a_s2*k2_i + ...), each
 tableau weight embedded by its repr, which round-trips the float.  Every
 term is one IEEE multiply and one add, so the sums have the bits of an
-in-order product-and-reduce over the stages, signed zeros included, and a
-NaN or infinity in any stage reaches y5 and rejects the step.  `exec` only
+in-order product-and-reduce over the stages, signed zeros included: a sum
+that starts from +0.0 is never -0.0, so a skipped 0.0*k term, itself a
+zero, could not have changed it.  The pair is FSAL: the seventh stage is
+evaluated at y5 itself, so y5 is that stage's state, formed once.  A
+skipped stage (k2 and k7) would have carried a NaN or an infinity into y5
+as 0.0*k; each is tested for finiteness explicitly instead, so a NaN or an
+infinity in any stage still rejects the step.  `exec` only
 ever compiles text built from this module's constants and the integer n;
 no value from a caller enters the source.
 """
@@ -110,35 +115,50 @@ def _step_source(n: int) -> str:
     """Python source of the trial step on states of n components, written as
     the module docstring says.  The state and every stage derivative are
     unpacked into locals y_i and k<s>_i, so the rhs returns n values."""
+    # FSAL: the seventh stage is evaluated at y5 itself
+    assert _A[6] == _B[:6] and _B[6] == 0.0
+    # the stages that some weighted sum skips for a zero weight
+    skipped = sorted({s for row in (*_A, _B, _E) for s, w in enumerate(row) if w == 0.0})
+
     def unpack(name):
         return f"[{', '.join(f'{name}_{i}' for i in range(n))}] = {name}"
 
     def weighted(weights, i):
-        return "0.0" + "".join(f" + {w!r} * k{s + 1}_{i}" for s, w in enumerate(weights))
+        return "0.0" + "".join(f" + {w!r} * k{s + 1}_{i}" for s, w in enumerate(weights) if w != 0.0)
 
     lines = ["def step(rhs, y, t, h, tol, k1):", f"    {unpack('y')}", f"    {unpack('k1')}"]
     for s in range(1, 7):
         at = f"t + {_C[s]!r} * h"
-        state = ", ".join(f"y_{i} + h * ({weighted(_A[s], i)})" for i in range(n))
+        if s == 6:
+            lines += [f"    y5_{i} = y_{i} + h * ({weighted(_A[s], i)})" for i in range(n)]
+            state = ", ".join(f"y5_{i}" for i in range(n))
+        else:
+            state = ", ".join(f"y_{i} + h * ({weighted(_A[s], i)})" for i in range(n))
         lines += ["    try:",
                   f"        k{s + 1} = rhs({at}, [{state}])",
                   "    except _RHS_FAILURES as exc:",
                   f"        raise RhsEvaluationFailure({at}, str(exc), {s}) from exc",
                   f"    {unpack(f'k{s + 1}')}"]
-    lines += [f"    y5_{i} = y_{i} + h * ({weighted(_B, i)})" for i in range(n)]
     ratios = [f"abs(h * ({weighted(_E, i)})) / (tol + tol * abs(y5_{i}))" for i in range(n)]
     # max(r_0, r_1, ...) keeps the first of equal or NaN ratios, as max(list) does
     err = f"max({', '.join(ratios)})" if n > 1 else ratios[0]
+    finite = [f"y5_{i}" for i in range(n)] + [f"k{s + 1}_{i}" for s in skipped for i in range(n)]
     lines += [f"    y5 = [{', '.join(f'y5_{i}' for i in range(n))}]",
               f"    err = {err}",
               "    k = [k1, k2, k3, k4, k5, k6, k7]",
-              f"    if not ({''.join(f'isfinite(y5_{i}) and ' for i in range(n))}isfinite(err)):",
+              f"    if not ({''.join(f'isfinite({v}) and ' for v in finite)}isfinite(err)):",
               "        return _retreat(h), y5, k",
               "    if err == 0.0:",
               f"        factor = {_GROW_LIMIT!r}",
               "    else:",
-              f"        factor = min({_GROW_LIMIT!r}, max({_SHRINK_LIMIT!r}, {_SAFETY!r} * err ** {_ORDER_EXP!r}))",
-              "    return StepResult(err <= 1.0, err, abs(h) * factor), y5, k"]
+              # min(GROW, max(SHRINK, SAFETY * err ** ORDER)) without the calls
+              f"        factor = {_SAFETY!r} * err ** {_ORDER_EXP!r}",
+              f"        if factor <= {_SHRINK_LIMIT!r}:",
+              f"            factor = {_SHRINK_LIMIT!r}",
+              f"        elif factor >= {_GROW_LIMIT!r}:",
+              f"            factor = {_GROW_LIMIT!r}",
+              # a StepResult built without the Python frame of its own __new__
+              "    return _tuple_new(StepResult, (err <= 1.0, err, abs(h) * factor)), y5, k"]
     return "\n".join(lines) + "\n"
 
 
@@ -146,8 +166,9 @@ class _Steps(dict):
     """The trial step for each state size n, compiled on first use."""
 
     def __missing__(self, n: int):
-        scope = {"isfinite": math.isfinite, "StepResult": StepResult, "_retreat": _retreat,
-                 "_RHS_FAILURES": _RHS_FAILURES, "RhsEvaluationFailure": RhsEvaluationFailure}
+        scope = {"isfinite": math.isfinite, "StepResult": StepResult, "_tuple_new": tuple.__new__,
+                 "_retreat": _retreat, "_RHS_FAILURES": _RHS_FAILURES,
+                 "RhsEvaluationFailure": RhsEvaluationFailure}
         exec(compile(_step_source(n), f"<ode.step n={n}>", "exec"), scope)
         self[n] = scope["step"]
         return self[n]
@@ -170,10 +191,11 @@ def step(
     Returns the step result plus the order-5 solution at t + h and the seven
     stage derivatives k1..k7, whose last is the derivative at t + h (FSAL;
     both meaningful only when accepted).  The scaled error norm is the max
-    component of |y5 - y4| / (tol + tol |y5|).  A step whose y5 or error is
-    not finite is rejected with next step 0.2 |h|.  The next step is not yet
-    clamped to the span's step bounds; the driver does that.  The work is
-    done by the straight-line step generated for len(y) components.
+    component of |y5 - y4| / (tol + tol |y5|).  A step whose y5, error or
+    any stage is not finite is rejected with next step 0.2 |h|.  The next
+    step is not yet clamped to the span's step bounds; the driver does that.
+    The work is done by the straight-line step generated for len(y)
+    components.
     """
     return _STEPS[len(y)](rhs, y, t, h, tol, k1)
 
@@ -241,37 +263,54 @@ def integrate(
     # to traverse; they become arrays once at the end.
     n = len(y)
     ts, ys, ks = [t], list(y), []
+    append_t, extend_y, extend_k = ts.append, ys.extend, ks.extend
     accepted = rejected = 0
     nfev = 1
     termination = None if stop is None else stop(t, y)
+    max_steps = MAX_STEPS
+    underflow = min_step * (1.0 + 1e-12)
+    end_scale = abs(t1)
     h = FIRST_STEP * length
     while termination is None and (t - t1) * direction < 0.0:
-        if accepted + rejected >= MAX_STEPS:
+        if accepted + rejected >= max_steps:
             termination = TerminationReason.MAX_STEPS
             break
         remaining = abs(t1 - t)
-        if remaining <= 1e-15 * max(abs(t), abs(t1)):
+        scale = abs(t)
+        if remaining <= 1e-15 * (end_scale if end_scale > scale else scale):
             break  # span resolved to machine precision
-        h_try = min(h, remaining)
+        h_try = remaining if remaining < h else h
         try:
-            result, y_new, k = step(rhs, y, t, direction * h_try, tol, f)
+            (ok, _, next_step), y_new, (k1, k2, k3, k4, k5, k6, k7) = step(
+                rhs, y, t, direction * h_try, tol, f)
             nfev += 6
         except RhsEvaluationFailure as exc:
             nfev += exc.stage
-            result = _retreat(h_try)
-        h = min(max_step, max(min_step, result.next_step))
-        if not result.accepted:
+            ok, _, next_step = _retreat(h_try)
+        # min(max_step, max(min_step, next_step)), by comparisons, which
+        # skip two builtin calls per trial step
+        h = next_step
+        if h <= min_step:
+            h = min_step
+        elif h >= max_step:
+            h = max_step
+        if not ok:
             rejected += 1
-            if h_try <= min_step * (1.0 + 1e-12):
+            if h_try <= underflow:
                 termination = TerminationReason.STEP_UNDERFLOW
                 break
             continue
         t = t + direction * h_try
-        y, f = y_new, k[6]
-        ts.append(t)
-        ys.extend(y)
-        for ki in k:
-            ks.extend(ki)
+        y, f = y_new, k7
+        append_t(t)
+        extend_y(y)
+        extend_k(k1)
+        extend_k(k2)
+        extend_k(k3)
+        extend_k(k4)
+        extend_k(k5)
+        extend_k(k6)
+        extend_k(k7)
         accepted += 1
         if stop is not None:
             termination = stop(t, y)

@@ -23,7 +23,7 @@ from recipgeo import (
     transform,
 )
 from recipgeo import connection, flows, hessian, infogeo
-from recipgeo.core import S_MAX, S_at, alpha_dot, cost, cost_from_S, cost_ratio_rows, log_coords
+from recipgeo.core import ROW_MATH, S_MAX, S_at, alpha_dot, cost, cost_from_S, cost_ratio_rows, log_coords
 from recipgeo.errors import (
     DimensionMismatch,
     NonPositiveCoordinate,
@@ -379,6 +379,62 @@ PAST_ONLY = {
     "cost_rate": lambda S: flows.cost_rate(LOG_AT(S).coords, W11, flows.FlowSign.DESCENT),
     "lc_christoffel_st": lambda S: connection.lc_christoffel_st(1.0, 1.0, 0.5 * S, 0.5 * S).array,
 }
+
+
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.5, -0.5]
+# per function: arguments at the edges of its range, where the result is
+# still finite (exp underflows to 0.0 past -745.13), and the doubles just
+# past them, where `math` raises
+ROW_MATH_EDGES = {
+    "exp": ([709.782712893384, -745.1332191019411, -745.1332191019412, -1000.0], [709.7827128933841, 1e300]),
+    "log": ([5e-324, 1.7976931348623157e308, 1.0], [0.0, -0.0, -5e-324, -1.0]),
+    "sinh": ([710.4758600739439, -710.4758600739439], [710.475860073944, -710.475860073944]),
+    "cosh": ([710.4758600739439, -710.4758600739439], [710.475860073944, -710.475860073944]),
+    "atanh": ([0.9999999999999999, -0.9999999999999999], [1.0, -1.0, 2.0]),
+}
+
+
+def _math_error(name, x):
+    """The exception type math.<name>(x) raises."""
+    with pytest.raises((OverflowError, ValueError)) as exc:
+        getattr(math, name)(x)
+    return exc.type
+
+
+class TestRowMath:
+    """ROW_MATH against a `math` call per entry: the same bits, the same
+    exception where `math` raises, and the shape of its argument."""
+
+    @pytest.mark.parametrize("name", list(ROW_MATH_EDGES))
+    def test_bits_of_math(self, name):
+        args = [x for x in _TINY if name != "log" or x > 0.0] + ROW_MATH_EDGES[name][0]
+        got = getattr(ROW_MATH, name)(np.array(args))
+        assert got.dtype == np.float64 and got.shape == (len(args),)
+        assert bits(got) == bits([getattr(math, name)(x) for x in args])
+
+    @pytest.mark.parametrize("name", list(ROW_MATH_EDGES))
+    def test_same_exception_past_the_edge(self, name):
+        for x in ROW_MATH_EDGES[name][1]:
+            with pytest.raises(_math_error(name, x)):
+                getattr(ROW_MATH, name)(np.array([0.5, x, 0.25]))
+
+    @pytest.mark.parametrize("name", list(ROW_MATH_EDGES))
+    def test_non_contiguous_view(self, name, rng):
+        base = rng.uniform(0.05, 0.95, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9))
+        if name == "log":
+            base = np.abs(base)
+        view = base.T[::2, 1::2]
+        assert not view.flags.c_contiguous
+        got = getattr(ROW_MATH, name)(view)
+        assert got.shape == view.shape == (5, 3)
+        want = [[getattr(math, name)(x) for x in row] for row in view.tolist()]
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("name", list(ROW_MATH_EDGES))
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty(self, name, shape):
+        got = getattr(ROW_MATH, name)(np.empty(shape))
+        assert got.dtype == np.float64 and got.shape == shape
 
 
 class TestOverflowWall:

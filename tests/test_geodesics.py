@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from recipgeo import (
 )
 from recipgeo import flows, geodesics
 from recipgeo.connection import EPS_SINGULAR
-from recipgeo.core import ROW_MATH
+from recipgeo.core import ROW_MATH, S_MAX
 from recipgeo.errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
@@ -133,6 +134,19 @@ class TestAffineRatio:
         )
         assert traj.termination is TerminationReason.SPAN_COMPLETE
         assert traj.lambdas[-1] == 3.0
+
+    def test_trajectory_ends_where_log_x_reaches_s_max(self):
+        # x_1 would pass the double range within the span: the run ends
+        # where log x_1 reaches S_MAX, with no overflow warned about
+        start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = affine_trajectory(
+                AffineStructure.RATIO_FLAT, start, np.array([1e300, 0.0]), (0.0, 1e10), num=3
+            )
+        assert traj.termination is TerminationReason.DOMAIN_BOUNDARY
+        assert np.all(np.log(traj.positions) <= S_MAX)
+        assert traj.lambdas[-1] > (1.0 - 1e-8) * (math.exp(S_MAX) - 1.0) / 1e300
 
     def test_log_flat_trajectory_accelerations(self):
         start = ChartPoint(Chart.RATIO, np.array([2.0, 1.0]))

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from recipgeo import FlowSign, TerminationReason, WeightVector, integrate_flow, ode
-from recipgeo.errors import InvalidSpan, OutOfSpan, RhsEvaluationFailure
+from recipgeo import FlowSign, TerminationReason, WeightVector, flows, geodesics, integrate_flow, ode
+from recipgeo.core import Chart
+from recipgeo.errors import InvalidSpan, OutOfSpan, RecipGeoError, RhsEvaluationFailure
 
 
 def exp_rhs(t, y):
@@ -107,6 +108,22 @@ class TestNonFiniteStages:
         assert result.error_estimate == math.inf
         assert result.next_step == 0.2 * abs(h)
 
+    @pytest.mark.parametrize("stage", [1, 6])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_zero_weight_stage_rejected(self, stage, value):
+        # k2 and k7 have weight 0 in y5 (and k2 in the error), and an rhs
+        # that ignores its state keeps every other stage finite: the step
+        # is still rejected, as the 0.0 * k terms it skips would reject it
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return [1.0, -2.0, value if calls[0] == stage else 0.5]
+
+        result, _, _ = ode.step(rhs, [1.0, -0.5, 2.0], 0.0, 0.05, 1e-8, k1=[1.0, -2.0, 0.5])
+        assert not result.accepted
+        assert result.next_step == 0.2 * 0.05
+
     @pytest.mark.parametrize("stage", range(1, 7))
     def test_raising_stage(self, stage):
         h = -0.05
@@ -140,6 +157,140 @@ class TestNonFiniteStages:
         assert sol.termination is TerminationReason.STEP_UNDERFLOW
         assert 0.5 - 1e-12 <= sol.ts[-1] <= 0.5
         assert sol.rejected > 0 and sol.accepted + sol.rejected < ode.MAX_STEPS
+
+
+def reference_integrate(rhs, y0, span, tol, stop):
+    """The driver as integrate's docstring states its control law, on
+    reference_step: the first step is FIRST_STEP of the span length, every
+    next one is clamped to [MIN_STEP, MAX_STEP] of it, a failed or
+    non-finite stage retreats to 0.2 |h|, a rejected step at or below
+    min_step (1 + 1e-12) underflows, and stop is checked at the start and
+    at accepted steps only.  nfev counts the rhs calls themselves; each
+    accepted step's dense-output matrix is its stages times _P, as one
+    batched product at the end."""
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    t0, t1 = span
+    direction = 1.0 if t1 > t0 else -1.0
+    length = abs(t1 - t0)
+    min_step, max_step = ode.MIN_STEP * length, ode.MAX_STEP * length
+    t, y = t0, np.asarray(y0, dtype=float)
+    f = counted(t, y.tolist())
+    ts, ys, stages, rejected = [t], [y], [], 0
+    termination = None if stop is None else stop(t, y.tolist())
+    h = ode.FIRST_STEP * length
+    while termination is None and (t - t1) * direction < 0.0:
+        if len(stages) + rejected >= ode.MAX_STEPS:
+            termination = TerminationReason.MAX_STEPS
+            break
+        remaining = abs(t1 - t)
+        if remaining <= 1e-15 * max(abs(t), abs(t1)):
+            break
+        h_try = min(h, remaining)
+        try:
+            result, y5, k = reference_step(counted, y, t, direction * h_try, tol, f)
+        except (RecipGeoError, OverflowError, ZeroDivisionError, FloatingPointError):
+            result = ode.StepResult(False, math.inf, 0.2 * h_try)
+        h = float(np.clip(result.next_step, min_step, max_step))
+        if not result.accepted:
+            rejected += 1
+            if h_try <= min_step * (1.0 + 1e-12):
+                termination = TerminationReason.STEP_UNDERFLOW
+                break
+            continue
+        t, y, f = t + direction * h_try, y5, k[6]
+        ts.append(t)
+        ys.append(y)
+        stages.append(k)
+        if stop is not None:
+            termination = stop(t, y.tolist())
+    steps = np.abs(np.diff(ts)) if stages else np.array([math.nan])
+    qs = np.array(stages).reshape(len(stages), 7, y.size).transpose(0, 2, 1) @ ode._P
+    return ode.RawSolution(
+        ts=ts, ys=np.array(ys), qs=qs, accepted=len(stages), rejected=rejected,
+        termination=TerminationReason.SPAN_COMPLETE if termination is None else termination,
+        nfev=calls[0], h_min=float(steps.min()), h_max=float(steps.max()))
+
+
+def captured_integration(run):
+    """The (rhs, y0, span, tol, stop) with which run() calls ode.integrate."""
+    def factory():
+        calls = []
+        real = ode.integrate
+
+        def spy(rhs, y0, span, tol, stop=None):
+            calls.append((rhs, y0, span, tol, stop))
+            return real(rhs, y0, span, tol, stop=stop)
+
+        ode.integrate = spy
+        try:
+            run()
+        finally:
+            ode.integrate = real
+        [args] = calls
+        return args
+
+    return factory
+
+
+_FLOW_W = WeightVector(np.array([0.6, -0.3, 0.9]))
+_FLOW_T0 = np.array([1.0, 0.5, 0.8])
+_FLOW_TAU_STAR = flows.blowup_time(float(_FLOW_W.alpha @ _FLOW_T0), _FLOW_W)
+_FAN = 2.0 * math.pi * 36 / 40   # a direction of the benchmark's fixed fan
+
+
+# name -> (a factory of fresh integrate arguments, the expected termination)
+DRIVER_RUNS = {
+    "flow descent": (captured_integration(lambda: integrate_flow(
+        _FLOW_T0, _FLOW_W, FlowSign.DESCENT, (0.0, 60.0))), TerminationReason.SPAN_COMPLETE),
+    "flow ascent": (captured_integration(lambda: integrate_flow(
+        _FLOW_T0, _FLOW_W, FlowSign.ASCENT, (0.0, 1.5 * _FLOW_TAU_STAR))), TerminationReason.BLOWUP),
+    "xy geodesic": (captured_integration(lambda: geodesics.integrate_geodesic(
+        geodesics.GeodesicState(Chart.RATIO, [1.0, 2.0], [-1.0, 3.0], 0.0), -2.0, 1.0, (0.0, 4.0))),
+        TerminationReason.SPAN_COMPLETE),
+    "qr geodesic": (captured_integration(lambda: geodesics.integrate_geodesic(
+        geodesics.GeodesicState(Chart.QR, [0.9076580381796657, -0.12028442909461373],
+                                [0.1483333333333333, 0.655], 0.0), 0.9, 0.7, (0.0, 3.0))),
+        TerminationReason.SPAN_COMPLETE),
+    "fan into R = 1": (captured_integration(lambda: geodesics.integrate_geodesic(
+        geodesics.GeodesicState(Chart.RATIO, [4.0, 2.0], [math.cos(_FAN), math.sin(_FAN)], 0.0),
+        1.0 / 3.0, 0.5, (0.0, 8.0))), TerminationReason.SINGULARITY_REACHED),
+    "nan at call 40": (lambda: (failing_at_call(40, math.nan), np.array([1.0, 2.0]), (0.0, 1.0), 1e-10, None),
+                       TerminationReason.SPAN_COMPLETE),
+    "raise at call 40": (lambda: (failing_at_call(40, OverflowError("boom")), np.array([1.0, 2.0]), (0.0, 1.0),
+                                  1e-10, None), TerminationReason.SPAN_COMPLETE),
+    "underflow at a wall": (lambda: (lambda t, y: [math.nan if t > 0.5 else 1.0] * 2, np.zeros(2), (0.0, 1.0),
+                                     1e-10, None), TerminationReason.STEP_UNDERFLOW),
+}
+
+
+class TestDriverOracle:
+    """ode.integrate against reference_integrate, bit for bit: every
+    accepted parameter, state and dense-output matrix, the counts, the
+    termination and the step-size range."""
+
+    @pytest.mark.parametrize("name", DRIVER_RUNS)
+    def test_matches_reference_driver(self, name):
+        make, termination = DRIVER_RUNS[name]
+        got = ode.integrate(*make())
+        want = reference_integrate(*make())
+        assert got.termination is want.termination is termination
+        assert (got.accepted, got.rejected, got.nfev) == (want.accepted, want.rejected, want.nfev)
+        np.testing.assert_array_equal(bits(got.ts), bits(want.ts))
+        np.testing.assert_array_equal(bits(got.ys), bits(want.ys))
+        np.testing.assert_array_equal(bits(got.qs), bits(want.qs))
+        assert bits(got.h_min) == bits(want.h_min) and bits(got.h_max) == bits(want.h_max)
+
+    def test_runs_reach_the_control_law(self):
+        # the rejections and the retreat are exercised, not only accepted steps
+        assert ode.integrate(*DRIVER_RUNS["flow descent"][0]()).rejected > 0
+        assert ode.integrate(*DRIVER_RUNS["fan into R = 1"][0]()).rejected > 0
+        assert ode.integrate(*DRIVER_RUNS["nan at call 40"][0]()).rejected == 1
+        assert ode.integrate(*DRIVER_RUNS["raise at call 40"][0]()).rejected == 1
 
 
 class TestObservability:

@@ -136,6 +136,8 @@ COMMANDS = [
     # affine runs whose domain edge lies within 1e-9 of the span from lambda = 0
     "geodesic --type affine --structure log --alpha 1,1 --state 1,1,1e12,0 --span 0,1 --samples 3",
     "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,-1e10,0 --span 0,1 --samples 3",
+    # a ratio-flat run that ends where x_1 reaches e^S_MAX
+    "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,1e300,0 --span 0,1e10 --samples 3",
     # subnormal Hessian entries: the direct determinant -0, unwarned
     "hessian --chart ratio --alpha=-3.2477906522764906e-122,-2.1672478321195007e-68"
     " --point=5.643185458960553e+44,1.4213928485581296e+86",
