@@ -2,7 +2,7 @@
 and the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-3 runtime termination (singularity or blowup inside the requested span).
+3 a run that cannot start (InadmissibleInitialState) or ends on FAILED_ENDS.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+# The ends of a run that exit 3 with one error line; every other end (span
+# complete, a singular set, a domain edge, convergence) exits 0.
+FAILED_ENDS = frozenset({TerminationReason.BLOWUP, TerminationReason.STEP_UNDERFLOW, TerminationReason.MAX_STEPS})
 
 
 class UsageError(Exception):
@@ -140,30 +144,53 @@ def _json_rows(table: Dict[str, Sequence]) -> str:
 
 def _emit(args, table: Dict[str, Sequence], meta: dict) -> None:
     """Write the table (column name -> numpy array or list of Python values)
-    as CSV, meta to a JSON sidecar or stderr, or as one JSON document."""
+    as CSV, meta to a JSON sidecar or stderr, or as one JSON document; with
+    --residual-output, also its lambda and residual columns as CSV."""
     meta = {"version": __version__, **meta}
     if args.format == "json":
         # the keys sort as columns, meta, rows: the rows block closes the document
         head = _dumps({"meta": meta, "columns": list(table)}, indent=2)
         text = f'{head[:-2]},\n  "rows": {_json_rows(table)}\n}}\n'
-        if args.output:
-            _atomic_write(args.output, text)
-        else:
-            sys.stdout.write(text)
-        return
-    text = _csv(table)
+    else:
+        text = _csv(table)
     if args.output:
         _atomic_write(args.output, text)
-        _atomic_write(args.output + ".meta.json", _dumps(meta, indent=2) + "\n")
+        if args.format == "csv":
+            _atomic_write(args.output + ".meta.json", _dumps(meta, indent=2) + "\n")
     else:
         sys.stdout.write(text)
-        if meta:
+        if args.format == "csv":
             sys.stderr.write(_dumps(meta) + "\n")
+    if getattr(args, "residual_output", None):
+        _atomic_write(args.residual_output, _csv({k: table[k] for k in ("lambda", "residual")}))
 
 
-def _emit_report(args, report: Dict[str, object], meta: dict) -> None:
+def _report(report: Dict[str, object]) -> Dict[str, list]:
     """A quantity,value table with one row per entry of `report`."""
-    _emit(args, {"quantity": list(report), "value": list(report.values())}, meta)
+    return {"quantity": list(report), "value": list(report.values())}
+
+
+def _meta(w: WeightVector, traj: Optional[geodesics.Trajectory] = None, **fields) -> dict:
+    """The weights, then for a run why it stopped and what its integration
+    cost (every value deterministic; h_min/h_max are NaN, i.e. null, where
+    nothing was integrated), then `fields`."""
+    meta = {"alpha": list(map(float, w.alpha)), **fields}
+    if traj is not None:
+        meta.update(termination=traj.termination.value, accepted=traj.accepted, rejected=traj.rejected,
+                    nfev=traj.nfev, h_min=traj.h_min, h_max=traj.h_max, lam_end=float(traj.lambdas[-1]))
+    return meta
+
+
+def _run_error(traj: geodesics.Trajectory, param: str, blowup: Optional[str] = None) -> Optional[str]:
+    """The error line of a run that ends on one of FAILED_ENDS, else None:
+    `blowup` for a blowup where the subcommand words it, else the end and the
+    parameter at which the run stopped."""
+    end = traj.termination
+    if end not in FAILED_ENDS:
+        return None
+    if end is TerminationReason.BLOWUP and blowup:
+        return blowup
+    return f"{end.value} at {param} = {_fmt(float(traj.lambdas[-1]))}, short of the span's end"
 
 
 def _seed(args) -> int:
@@ -183,26 +210,27 @@ def _seed(args) -> int:
 
 # -- subcommands -------------------------------------------------------------
 
-def cmd_eval(args) -> int:
+# a subcommand's table, meta and error line (see _run_error) or None; not verify's
+Result = Tuple[Dict[str, Sequence], dict, Optional[str]]
+
+
+def cmd_eval(args) -> Result:
     w = _weights(args)
     chart = Chart(args.chart)
     point = ChartPoint(chart, _parse_floats(args.point, "point"))
     summary = core.cost(point, w)
     table = {"J": [summary.J], "R": [summary.R], "S": [summary.S], "G": [summary.G]}
-    _emit(args, table, {"alpha": list(map(float, w.alpha)), "chart": chart.value})
-    return EXIT_OK
+    return table, _meta(w, chart=chart.value), None
 
 
-def cmd_hessian(args) -> int:
+def cmd_hessian(args) -> Result:
     w = _weights(args)
     chart = Chart(args.chart)
     point = ChartPoint(chart, _parse_floats(args.point, "point"))
     if chart is Chart.LOG:
         m = hessian.hessian_log(point, w)
-    elif chart is Chart.RATIO:
-        m = hessian.hessian_ratio(point, w)
     else:
-        raise UsageError("hessian runs in the ratio or log chart")
+        m = hessian.hessian_ratio(point, w)
     dense = m.array
     report = {f"h[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
     summary = core.cost(point, w)
@@ -221,11 +249,10 @@ def cmd_hessian(args) -> int:
         report["locus_value"] = hessian.singular_locus_value(point, w)
     except RecipGeoError:
         report["locus_value"] = None
-    _emit_report(args, report, {"alpha": list(map(float, w.alpha)), "chart": chart.value})
-    return EXIT_OK
+    return _report(report), _meta(w, chart=chart.value), None
 
 
-def cmd_christoffel(args) -> int:
+def cmd_christoffel(args) -> Result:
     w = _weights(args)
     if w.n != 2:
         raise UsageError("christoffel tables exist for n = 2 only")
@@ -241,19 +268,16 @@ def cmd_christoffel(args) -> int:
         Z = connection.z_xy(w.a, w.b, x, y)
         names = "xy"
         report = {"Z": Z, "Delta": connection.delta(w.a, w.b, Z)}
-    elif chart is Chart.LOG:
+    else:
         gamma = connection.lc_christoffel_st(w.a, w.b, x, y)
         names = "st"
         report = {"q": core.log_to_qr(coords, w.a, w.b)[0]}
-    else:
-        raise UsageError("christoffel tables are printed in the ratio or log chart")
     for k, i, j in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)):
         report[f"G^{names[k]}_{names[i]}{names[j]}"] = gamma.array[k, i, j]
-    _emit_report(args, report, {"alpha": [w.a, w.b], "chart": chart.value})
-    return EXIT_OK
+    return _report(report), _meta(w, chart=chart.value), None
 
 
-def cmd_ricci(args) -> int:
+def cmd_ricci(args) -> Result:
     w = _weights(args)
     if w.n != 2:
         raise UsageError("the Ricci scalar is computed for n = 2")
@@ -263,13 +287,12 @@ def cmd_ricci(args) -> int:
         report = {"Z": args.Z, "ricci": connection.ricci_xy(w.a, w.b, args.Z)}
     else:
         report = {"q": args.q, "ricci": connection.ricci_q(w.a, w.b, args.q)}
-    _emit_report(args, report, {"alpha": [w.a, w.b]})
-    return EXIT_OK
+    return _report(report), _meta(w), None
 
 
-def _geodesic_table(traj, a: float, b: float) -> Dict[str, np.ndarray]:
+def _geodesic_table(traj: geodesics.Trajectory, w: WeightVector) -> Dict[str, np.ndarray]:
     """Columns lambda,x,y,xdot,ydot,q,r,J,Delta,residual of a 2D trajectory."""
-    w = WeightVector(np.array([a, b]))
+    a, b = w.a, w.b
     residuals = geodesics.qr_residual(traj, a, b)
     if traj.chart is Chart.RATIO:
         xy, vxy = traj.positions, traj.velocities
@@ -284,15 +307,7 @@ def _geodesic_table(traj, a: float, b: float) -> Dict[str, np.ndarray]:
             "q": qr[:, 0], "r": qr[:, 1], "J": J, "Delta": delta, "residual": residuals}
 
 
-def _run_meta(traj: geodesics.Trajectory) -> dict:
-    """Why a trajectory stopped and what its integration cost; every value
-    is deterministic.  h_min/h_max are NaN (null) where nothing was
-    integrated."""
-    return {"termination": traj.termination.value, "accepted": traj.accepted, "rejected": traj.rejected,
-            "nfev": traj.nfev, "h_min": traj.h_min, "h_max": traj.h_max, "lam_end": float(traj.lambdas[-1])}
-
-
-def cmd_geodesic(args) -> int:
+def cmd_geodesic(args) -> Result:
     w = _weights(args)
     span = _parse_span(args.span)
     state = _parse_floats(args.state, "state")
@@ -305,46 +320,24 @@ def cmd_geodesic(args) -> int:
             raise UsageError("--state needs x,y,xdot,ydot (4 values)")
         chart = Chart.RATIO if args.chart == "ratio" else Chart.QR
         st0 = geodesics.GeodesicState(chart, state[:2], state[2:], span[0])
-        try:
-            traj = geodesics.integrate_geodesic(st0, w.a, w.b, span, tol=args.tol, samples=args.samples)
-        except InadmissibleInitialState as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_RUNTIME
-        table = _geodesic_table(traj, w.a, w.b)
+        traj = geodesics.integrate_geodesic(st0, w.a, w.b, span, tol=args.tol, samples=args.samples)
+        table = _geodesic_table(traj, w)
     else:
         if state.size != 2 * w.n:
             raise UsageError(f"--state needs {2 * w.n} values (position then velocity)")
-        structure = (
-            connection.AffineStructure.LOG_FLAT
-            if args.structure == "log"
-            else connection.AffineStructure.RATIO_FLAT
-        )
+        structure = connection.AffineStructure(args.structure)
         chart0 = Chart.RATIO
         start = ChartPoint(chart0, state[: w.n])
-        traj = geodesics.affine_trajectory(structure, start, state[w.n:], span, num=args.samples)
+        traj = geodesics.affine_trajectory(structure, start, state[w.n:], w, span, num=args.samples)
         table = {"lambda": traj.lambdas,
                  **{f"x{i+1}": traj.positions[:, i] for i in range(w.n)},
                  **{f"v{i+1}": traj.velocities[:, i] for i in range(w.n)},
                  "J": core.cost_ratio_rows(traj.positions, w)}
-    meta = {
-        "alpha": list(map(float, w.alpha)),
-        **_run_meta(traj),
-        "tol": args.tol,
-        "span": [span[0], span[1]],
-        "type": args.type,
-    }
-    _emit(args, table, meta)
-    if args.residual_output:
-        _atomic_write(args.residual_output, _csv({k: table[k] for k in ("lambda", "residual")}))
-    span_len = abs(span[1] - span[0])
-    covered = abs(traj.lambdas[-1] - span[0])
-    if traj.termination is TerminationReason.SINGULARITY_REACHED and covered < 0.01 * span_len:
-        sys.stderr.write("error: singularity reached before 1% of the span\n")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    meta = _meta(w, traj, tol=args.tol, span=list(span), type=args.type)
+    return table, meta, _run_error(traj, "lambda")
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> Result:
     w = _weights(args)
     t0 = _parse_floats(args.point, "point")
     if t0.size != w.n:
@@ -365,22 +358,11 @@ def cmd_flow(args) -> int:
         **{f"r{k+1}": r[:, k] for k in range(w.n - 1)},
     }
     tau_star = span[0] + flows.blowup_time(S0, w)
-    meta = {
-        "alpha": list(map(float, w.alpha)),
-        "sign": args.sign,
-        **_run_meta(traj),
-        "C": C,
-        "tau_star": tau_star,
-        "tol": args.tol,
-    }
-    _emit(args, table, meta)
-    if traj.termination is TerminationReason.BLOWUP:
-        sys.stderr.write(f"error: ascent blowup inside span at tau* = {_fmt(tau_star)}\n")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    meta = _meta(w, traj, sign=args.sign, C=C, tau_star=tau_star, tol=args.tol)
+    return table, meta, _run_error(traj, "tau", blowup=f"ascent blowup inside span at tau* = {_fmt(tau_star)}")
 
 
-def cmd_locus(args) -> int:
+def cmd_locus(args) -> Result:
     w = _weights(args)
     if w.n != 2:
         raise UsageError("locus emission is 2D")
@@ -418,8 +400,7 @@ def cmd_locus(args) -> int:
     )
     table = {"x": X.ravel(), "y": Y.ravel(), "Z": Z.ravel(), "Delta": connection.delta(a, b, Z).ravel(),
              "Ricci": ricci.ravel(), "flags": flags.ravel()}
-    _emit(args, table, {"alpha": [a, b], "grid": n, "range": [lo, hi]})
-    return EXIT_OK
+    return table, _meta(w, grid=n, range=[lo, hi]), None
 
 
 def cmd_verify(args) -> int:
@@ -435,7 +416,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
 
 
-def cmd_fisher(args) -> int:
+def cmd_fisher(args) -> Result:
     w = _weights(args)
     t = ChartPoint(Chart.LOG, _parse_floats(args.point, "point"))
     info = infogeo.fisher_info(t, w)
@@ -444,18 +425,23 @@ def cmd_fisher(args) -> int:
     report = {f"I[{i}][{j}]": dense[i, j] for i in range(len(dense)) for j in range(i, len(dense))}
     report.update(S=S, m=infogeo.mean_function(S), m_prime=infogeo.mean_slope(S),
                   hessian_dev=matrix_deviation(dense, hessian.hessian_log(t, w).array))
-    _emit_report(args, report, {"alpha": list(map(float, w.alpha))})
-    return EXIT_OK
+    return _report(report), _meta(w), None
 
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None, help="write to this path (atomic); default stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the option groups that subcommands share through parents=
+    alpha, at, run, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    alpha.add_argument("--alpha", required=True)
+    at.add_argument("--chart", choices=("ratio", "log"), default="ratio")
+    at.add_argument("--point", required=True)
+    run.add_argument("--span", required=True)
+    run.add_argument("--tol", type=float, default=1e-10)
+    run.add_argument("--samples", type=int, default=geodesics.DENSE_SAMPLES)
+    out.add_argument("--format", choices=("csv", "json"), default="csv")
+    out.add_argument("--output", default=None, help="write to this path (atomic); default stdout")
+
     parser = argparse.ArgumentParser(
         prog="recipgeo",
         description="Differential geometry of the reciprocal cost function",
@@ -463,85 +449,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"recipgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate the cost at a point")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--chart", choices=("ratio", "log"), default="ratio")
-    p.add_argument("--point", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
+    def add(name, fn, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("hessian", help="Hessian report at a point")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--chart", choices=("ratio", "log"), default="ratio")
-    p.add_argument("--point", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_hessian)
+    add("eval", cmd_eval, "evaluate the cost at a point", alpha, at, out)
+    add("hessian", cmd_hessian, "Hessian report at a point", alpha, at, out)
+    add("christoffel", cmd_christoffel, "closed-form connection components", alpha, at, out)
 
-    p = sub.add_parser("christoffel", help="closed-form connection components")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--chart", choices=("ratio", "log"), default="ratio")
-    p.add_argument("--point", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_christoffel)
-
-    p = sub.add_parser("ricci", help="Ricci scalar in Z or q")
-    p.add_argument("--alpha", required=True)
+    p = add("ricci", cmd_ricci, "Ricci scalar in Z or q", alpha, out)
     p.add_argument("--Z", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ricci)
 
-    p = sub.add_parser("geodesic", help="integrate a geodesic and emit CSV")
-    p.add_argument("--alpha", required=True)
+    p = add("geodesic", cmd_geodesic, "integrate a geodesic and emit CSV", alpha, run, out)
     p.add_argument("--type", choices=("lc", "affine"), default="lc")
     p.add_argument("--chart", choices=("ratio", "qr"), default="ratio",
                    help="integration chart for Levi-Civita geodesics")
     p.add_argument("--structure", choices=("log", "ratio"), default="log",
                    help="flat structure for affine geodesics")
     p.add_argument("--state", required=True, help="position then velocity, comma-separated")
-    p.add_argument("--span", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=geodesics.DENSE_SAMPLES)
     p.add_argument("--residual-output", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_geodesic)
 
-    p = sub.add_parser("flow", help="integrate a gradient flow and emit CSV")
-    p.add_argument("--alpha", required=True)
+    p = add("flow", cmd_flow, "integrate a gradient flow and emit CSV", alpha, run, out)
     p.add_argument("--point", required=True, help="log-chart starting point")
     p.add_argument("--sign", choices=("ascent", "descent"), default="descent")
-    p.add_argument("--span", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=geodesics.DENSE_SAMPLES)
-    _add_common(p)
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("locus", help="sample the degeneracy/curvature loci on a grid")
-    p.add_argument("--alpha", required=True)
+    p = add("locus", cmd_locus, "sample the degeneracy/curvature loci on a grid", alpha, out)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--range", default="-3,3", help="log-coordinate range lo,hi")
-    _add_common(p)
-    p.set_defaults(fn=cmd_locus)
 
-    p = sub.add_parser("verify", help="run the verification suites")
+    p = add("verify", cmd_verify, "run the verification suites")
     p.add_argument("--suite", default=None, help="run a single suite by name")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="test hook: scale one Christoffel component by 1+perturb")
     p.add_argument("--seed", type=int, default=None,
                    help=f"random seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--output", default=None, help="write the report to this path (atomic); default stdout")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("fisher", help="Fisher information report at a log point")
-    p.add_argument("--alpha", required=True)
+    p = add("fisher", cmd_fisher, "Fisher information report at a log point", alpha, out)
     p.add_argument("--point", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_fisher)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; every exit code but verify's is decided here."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -550,13 +503,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise UsageError(f"--{name} must be finite, got {value}")
         if getattr(args, "tol", 1.0) <= 0.0:
             raise UsageError(f"--tol must be positive, got {args.tol}")
-        return args.fn(args)
+        if args.fn is cmd_verify:
+            return cmd_verify(args)
+        table, meta, error = args.fn(args)
+        _emit(args, table, meta)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except RecipGeoError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_RUNTIME if isinstance(exc, InadmissibleInitialState) else EXIT_USAGE
+    if error is None:
+        return EXIT_OK
+    sys.stderr.write(f"error: {error}\n")
+    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

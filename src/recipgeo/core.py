@@ -25,8 +25,11 @@ S_MAX (check_S is the wall of S; the other modules wall 2q and 2|log x_i|
 with it), and check_finite refuses what still leaves the double range
 inside the walls; alpha_dot refuses a dot product whose terms would leave
 the double range before numpy forms it, so no overflow is warned about.  No
-other module compares against S_MAX or tests finiteness to decide on
-Overflow.
+other module tests finiteness to decide on Overflow, and two read S_MAX
+only as the edge of a domain: geodesics.affine_trajectory ends an affine
+run where a log coordinate or S reaches +-S_MAX or a ratio coordinate
+e^S_MAX, and cli.cmd_locus refuses a grid that would take |log x| or 2|S|
+past it.
 """
 
 from __future__ import annotations

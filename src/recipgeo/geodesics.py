@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ode
 from .connection import EPS_SINGULAR, AffineStructure
-from .core import ROW_MATH, S_MAX, Chart, ChartPoint, log_to_qr
+from .core import ROW_MATH, S_MAX, Chart, ChartPoint, WeightVector, log_coords, log_to_qr
 from .errors import (
     InadmissibleInitialState,
     InvalidSampleCount,
@@ -175,6 +175,7 @@ def affine_trajectory(
     structure: AffineStructure,
     start: ChartPoint,
     v: np.ndarray,
+    w: WeightVector,
     span: Tuple[float, float],
     num: int = DENSE_SAMPLES,
 ) -> Trajectory:
@@ -182,7 +183,9 @@ def affine_trajectory(
 
     The velocity is given in the structure's flat chart.  The requested span
     is truncated to the representable/positive part, ending the trajectory
-    with DOMAIN_BOUNDARY when the cut bites.
+    with DOMAIN_BOUNDARY when the cut bites: on the log-flat structure where
+    a log coordinate or S = alpha . t reaches S_MAX, on the ratio-flat one
+    where a coordinate reaches 0 or e^S_MAX.
     """
     _require_samples(num)
     lam0, lam1 = float(span[0]), float(span[1])
@@ -190,15 +193,20 @@ def affine_trajectory(
         raise InvalidSpan("span must be increasing")
     if start.chart not in (Chart.RATIO, Chart.LOG):
         raise UnsupportedChartPair("affine trajectories start from a RATIO or LOG point")
+    t0 = log_coords(start, w)  # also checks n against the weights
     v = np.asarray(v, dtype=float)
 
     if structure is AffineStructure.LOG_FLAT:
-        t0 = start.coords if start.chart is Chart.LOG else np.log(start.coords)
         # beyond S_MAX in a log coordinate the ratio image is not representable,
-        # nor is x'' = v^2 x past t_i + 2 log|v_i| = S_MAX
-        lo, hi = _line_interval(t0, v, -S_MAX, S_MAX)
-        lo2, hi2 = _line_interval(t0 + 2.0 * np.log(np.maximum(np.abs(v), 1.0)), v, -math.inf, S_MAX)
-        lo, hi = max(lo, lo2), min(hi, hi2)
+        # nor is x'' = v^2 x past t_i + 2 log|v_i| = S_MAX; S = alpha . t0 +
+        # lam alpha . v is linear in lam, so its wall is one more bound (S at
+        # lam = 0 may lie past it while the span starts inside)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S0, S_rate = float(np.dot(w.alpha, t0)), float(np.dot(w.alpha, v))
+        bounds = (_line_interval(t0, v, -S_MAX, S_MAX),
+                  _line_interval(t0 + 2.0 * np.log(np.maximum(np.abs(v), 1.0)), v, -math.inf, S_MAX),
+                  _line_interval([S0], [S_rate], -S_MAX, S_MAX))
+        lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
 
         def rows(lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = np.exp(t0 + lams[:, None] * v)

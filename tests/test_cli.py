@@ -365,6 +365,65 @@ class TestFlow:
         assert strict_loads(capsys.readouterr().err)["tau_star"] is None
 
 
+# The exit code of each end a run can report, written out here so that a new
+# TerminationReason fails the exit-table test until its code is chosen.
+EXIT_BY_END = {"span_complete": 0, "singularity_reached": 0, "domain_boundary": 0, "converged": 0,
+               "blowup": 3, "step_underflow": 3, "max_steps": 3}
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("end", list(TerminationReason), ids=lambda end: end.value)
+    @pytest.mark.parametrize("module, name, argv", [
+        (flows, "integrate_flow", "flow --alpha 0.5,0.5 --point 1.2,0.8 --span 0,1 --samples 4"),
+        (geodesics, "integrate_geodesic", "geodesic --alpha=-2,1 --state 1,2,-1,3 --span 0,2 --samples 4"),
+    ], ids=["flow", "geodesic"])
+    def test_every_end(self, monkeypatch, capsys, end, module, name, argv):
+        integrate = getattr(module, name)
+
+        def ending(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            traj.termination = end
+            return traj
+
+        monkeypatch.setattr(module, name, ending)
+        assert main(argv.split()) == EXIT_BY_END[end.value]
+        err = capsys.readouterr().err.splitlines()
+        assert strict_loads(err[0])["termination"] == end.value
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == len(err) - 1 == (1 if EXIT_BY_END[end.value] == 3 else 0)
+        assert all(end.value in line for line in errors)
+
+    @pytest.mark.parametrize("argv, code, end", [
+        # the first step from S0 = 40 underflows: no step is made
+        ("flow --alpha 1 --point 40 --span 0,1", 3, "step_underflow"),
+        # the singular set lies 1.1e-6 along a span of 1
+        ("geodesic --alpha 0.5,0.5 --state 1,1.000006,0,-1 --span 0,1 --samples 3", 0, "singularity_reached"),
+        # S = 2 lambda reaches S_MAX at lambda = 350
+        ("geodesic --type affine --structure log --alpha 1,1 --state 1,1,1,1 --span 0,1000 --samples 3",
+         0, "domain_boundary"),
+        # S = 921 - 2 lambda is past S_MAX at lambda = 0 but inside it on the span
+        ("geodesic --type affine --structure log --alpha 1,1 --state 1e200,1e200,-1,-1 --span 300,400 --samples 3",
+         0, "span_complete"),
+    ])
+    def test_run_ends(self, capsys, argv, code, end):
+        assert main(argv.split()) == code
+        err = capsys.readouterr().err.splitlines()
+        assert strict_loads(err[0])["termination"] == end
+        assert [line.split(" at ")[0] for line in err[1:]] == ([f"error: {end}"] if code else [])
+
+    @pytest.mark.parametrize("argv", [
+        "geodesic --alpha 0.5,0.5 --state 1,1,1,0 --span 0,1",
+        "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,-1,0 --span 5,6",
+        "geodesic --type affine --structure log --alpha 1,1 --state 1e200,1e200,-1,-1 --span 0,1",
+    ], ids=["lc-at-guard", "affine-outside-domain", "affine-past-S-wall"])
+    def test_inadmissible_start_exits_3(self, capsys, argv):
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InadmissibleInitialState: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["flow", "--alpha", "0.5,0.5", "--point", "1.2,0.8", "--span", "0,1", "--tol", "inf"],

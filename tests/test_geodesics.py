@@ -44,6 +44,8 @@ from recipgeo.errors import (
 
 from conftest import assert_close, bits
 
+W11 = WeightVector(np.array([1.0, 1.0]))
+
 
 class TestTangentConstraints:
     def test_unit_surface_point(self):
@@ -121,7 +123,7 @@ class TestAffineRatio:
     def test_trajectory_truncated_at_boundary(self):
         start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
         traj = affine_trajectory(
-            AffineStructure.RATIO_FLAT, start, np.array([-1.0, 0.0]), (0.0, 5.0), num=64
+            AffineStructure.RATIO_FLAT, start, np.array([-1.0, 0.0]), W11, (0.0, 5.0), num=64
         )
         assert traj.termination is TerminationReason.DOMAIN_BOUNDARY
         assert traj.lambdas[-1] < 1.0
@@ -130,7 +132,7 @@ class TestAffineRatio:
     def test_trajectory_full_span(self):
         start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
         traj = affine_trajectory(
-            AffineStructure.RATIO_FLAT, start, np.array([1.0, 2.0]), (0.0, 3.0), num=32
+            AffineStructure.RATIO_FLAT, start, np.array([1.0, 2.0]), W11, (0.0, 3.0), num=32
         )
         assert traj.termination is TerminationReason.SPAN_COMPLETE
         assert traj.lambdas[-1] == 3.0
@@ -142,16 +144,27 @@ class TestAffineRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = affine_trajectory(
-                AffineStructure.RATIO_FLAT, start, np.array([1e300, 0.0]), (0.0, 1e10), num=3
+                AffineStructure.RATIO_FLAT, start, np.array([1e300, 0.0]), W11, (0.0, 1e10), num=3
             )
         assert traj.termination is TerminationReason.DOMAIN_BOUNDARY
         assert np.all(np.log(traj.positions) <= S_MAX)
         assert traj.lambdas[-1] > (1.0 - 1e-8) * (math.exp(S_MAX) - 1.0) / 1e300
 
+    def test_log_flat_trajectory_ends_where_S_reaches_s_max(self):
+        # S = alpha . t = 2 lam reaches S_MAX at lam = 350, before either log
+        # coordinate does at lam = 700: the run ends there, and every sample's
+        # cost stays inside the wall
+        start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
+        v = np.array([1.0, 1.0])
+        traj = affine_trajectory(AffineStructure.LOG_FLAT, start, v, W11, (0.0, 1000.0), num=3)
+        assert traj.termination is TerminationReason.DOMAIN_BOUNDARY
+        assert (1.0 - 1e-8) * 350.0 < traj.lambdas[-1] < 350.0
+        assert np.all(np.abs(np.log(traj.positions) @ W11.alpha) <= S_MAX)
+
     def test_log_flat_trajectory_accelerations(self):
         start = ChartPoint(Chart.RATIO, np.array([2.0, 1.0]))
         v = np.array([0.3, -0.4])
-        traj = affine_trajectory(AffineStructure.LOG_FLAT, start, v, (0.0, 2.0), num=16)
+        traj = affine_trajectory(AffineStructure.LOG_FLAT, start, v, W11, (0.0, 2.0), num=16)
         np.testing.assert_allclose(traj.velocities, v * traj.positions, rtol=1e-13)
         np.testing.assert_allclose(traj.accelerations, v * v * traj.positions, rtol=1e-13)
 
@@ -363,7 +376,7 @@ class TestIntegrateGeodesic:
                 integrate_geodesic(st, 0.5, 0.5, (0.0, 1.0), samples=samples)
         start = ChartPoint(Chart.RATIO, np.array([1.0, 1.0]))
         with pytest.raises(InvalidSampleCount):
-            affine_trajectory(AffineStructure.LOG_FLAT, start, np.array([1.0, 0.0]), (0.0, 1.0), num=1)
+            affine_trajectory(AffineStructure.LOG_FLAT, start, np.array([1.0, 0.0]), W11, (0.0, 1.0), num=1)
 
     def test_arrays_and_accelerations(self):
         # one row per sample; each acceleration is the closed-form rhs there
@@ -464,7 +477,8 @@ class TestQrResidual:
         a, b = 1 / 3, 1 / 2
         start = ChartPoint(Chart.RATIO, np.array([4.0, 2.0]))
         traj = affine_trajectory(
-            AffineStructure.LOG_FLAT, start, np.array([-0.25, 0.5]), (0.0, 1.0), num=32
+            AffineStructure.LOG_FLAT, start, np.array([-0.25, 0.5]), WeightVector(np.array([a, b])), (0.0, 1.0),
+            num=32
         )
         res = qr_residual(traj, a, b)
         assert np.max(res) > 1e-3

@@ -138,6 +138,19 @@ COMMANDS = [
     "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,-1e10,0 --span 0,1 --samples 3",
     # a ratio-flat run that ends where x_1 reaches e^S_MAX
     "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,1e300,0 --span 0,1e10 --samples 3",
+    # the exit table: a descent whose first step underflows exits 3; a run
+    # that reaches the singular set near its start exits 0; a start at the
+    # guard and an affine span that starts outside the domain exit 3
+    "flow --alpha 1 --point 40 --span 0,1",
+    "geodesic --alpha 0.5,0.5 --state 1,1.000006,0,-1 --span 0,1 --samples 3",
+    "geodesic --alpha 0.5,0.5 --state 1,1,1,0 --span 0,1",
+    "geodesic --type affine --structure ratio --alpha 1,1 --state 1,1,-1,0 --span 5,6",
+    # a log-flat run that ends where S reaches S_MAX
+    "geodesic --type affine --structure log --alpha 1,1 --state 1,1,1,1 --span 0,1000 --samples 3",
+    # S past S_MAX at lambda = 0: a span that starts inside the wall runs, one
+    # that starts past it is refused
+    "geodesic --type affine --structure log --alpha 1,1 --state 1e200,1e200,-1,-1 --span 300,400 --samples 3",
+    "geodesic --type affine --structure log --alpha 1,1 --state 1e200,1e200,-1,-1 --span 0,1 --samples 3",
     # subnormal Hessian entries: the direct determinant -0, unwarned
     "hessian --chart ratio --alpha=-3.2477906522764906e-122,-2.1672478321195007e-68"
     " --point=5.643185458960553e+44,1.4213928485581296e+86",
